@@ -82,6 +82,20 @@ class DualController:
         self.v_ema = self.alpha_v * v_scaled + (1.0 - self.alpha_v) * self.v_ema
         return self.v_ema
 
+    def feed(self, v_scaled: float, step: int, smooth: bool = True) -> None:
+        """One control step of dual feedback: fold in the violation, then run
+        dual_update on every update_period-th step of the episode.
+
+        With smooth off (the raw ablation arm) the unsmoothed value replaces
+        the EMA, so the raw signal drives the dual directly.
+        """
+        if smooth:
+            self.observe(v_scaled)
+        else:
+            self.v_ema = v_scaled
+        if (step + 1) % self.update_period == 0:
+            self.dual_update()
+
     def dual_update(self) -> float:
         """lambda <- clamp([lambda - eta * v_ema]^+, 0, lambda_max).
 
@@ -94,14 +108,10 @@ class DualController:
         self.lam = total
         if self.lam <= 0.0:
             self.lam, self._comp = 0.0, 0.0
-        elif self.lam + self._comp_signed() >= self.lambda_max:
+        elif self.lam - self._comp >= self.lambda_max:
+            # _comp holds (rounded - true), so lam - _comp is the true running sum
             self.lam, self._comp = self.lambda_max, 0.0
         return self.lam
-
-    def _comp_signed(self) -> float:
-        # the compensation term holds (rounded - true); the true running sum
-        # is lam - comp
-        return -self._comp
 
     def reset(self, lam0: float = 0.0) -> None:
         if not 0.0 <= lam0 <= self.lambda_max + 1e-12:

@@ -24,7 +24,6 @@ from .medium import (
     PClass,
     Simulator,
     Tech,
-    configure_network,
 )
 
 STEP_DURATION_US = 2500
@@ -141,12 +140,6 @@ def single_pc1_preset(medium: Optional[MediumParams] = None) -> ScenarioPreset:
     )
 
 
-PRESETS = {
-    "coex_mix": coex_mix_preset,
-    "single_pc1": lambda **kw: single_pc1_preset(**kw),
-}
-
-
 class CoexEnv:
     """reset/step environment over one simulator instance."""
 
@@ -175,14 +168,7 @@ class CoexEnv:
         self.lambda_max = lambda_max
         self._step_count = 0
         self._metrics: Optional[met.StepMetrics] = None
-        self._prev_stats = None
         self._prev_occupied = 0
-        self._defaults = {
-            (c.tech, c.pclass): {
-                "aifsn": c.aifsn, "cw_min": c.cw_min, "cw_max": c.cw_max, "mcot_us": c.mcot_us,
-            }
-            for c in preset.contenders
-        }
 
     # ------------------------------------------------------------------
 
@@ -207,12 +193,13 @@ class CoexEnv:
         return self._metrics
 
     def reset(self, seed: Optional[int] = None, lambda0: float = 0.0) -> np.ndarray:
-        """Start an episode; a seed forces a fresh simulator, otherwise the
-        medium persists and only metrics and the step counter restart."""
+        """Start an episode; a seed forces a fresh simulator (on the preset's
+        default MAC parameters), otherwise the medium persists and only
+        metrics and the step counter restart."""
         if seed is not None or self.sim is None:
             if seed is None:
                 raise ValueError("first reset requires a seed")
-            self.sim = configure_network(
+            self.sim = Simulator(
                 self.preset.medium,
                 [replace(c) for c in self.preset.contenders],
                 cr_lbt_enabled=self.cr_lbt,
@@ -224,9 +211,6 @@ class CoexEnv:
         self._prev_occupied = self.sim.occupied_us_at()
         self.lam = lambda0
         return self._observe()
-
-    def apply_defaults(self) -> None:
-        self.sim.apply_mac_params({k: dict(v) for k, v in self._defaults.items()})
 
     def _observe(self) -> np.ndarray:
         base = met.build_observation(self._metrics, self.d_th_us)
@@ -241,24 +225,15 @@ class CoexEnv:
                 assignment[(Tech.WIFI, pclass)] = params
         self.sim.apply_mac_params(assignment)
 
-    def step(self, action: int) -> StepResult:
+    def step(self, action: Optional[int]) -> StepResult:
+        """One control step; action None leaves the current MAC parameters
+        untouched (the fixed-parameter baseline)."""
         if self.sim is None or self._metrics is None:
             raise RuntimeError("reset() must be called before step()")
         if self._step_count >= self.episode_steps:
             raise RuntimeError("episode is done; call reset()")
-        self._apply_action(action)
-        return self._advance()
-
-    def step_passive(self) -> StepResult:
-        """One control step that leaves the current MAC parameters untouched
-        (the fixed-parameter baseline)."""
-        if self.sim is None or self._metrics is None:
-            raise RuntimeError("reset() must be called before step_passive()")
-        if self._step_count >= self.episode_steps:
-            raise RuntimeError("episode is done; call reset()")
-        return self._advance()
-
-    def _advance(self) -> StepResult:
+        if action is not None:
+            self._apply_action(action)
         outcomes = self.sim.run_for(self.step_duration_us)
         occupied = self.sim.occupied_us_at()
         busy = occupied - self._prev_occupied

@@ -29,7 +29,6 @@ from .learner import (
     run_training,
     save_policy,
 )
-from .medium import MediumParams, TxKind
 
 
 @dataclass
@@ -112,6 +111,10 @@ class ExperimentConfig:
 
 class ConfigFileError(ValueError):
     """Raised on unparseable configs, unknown keys, or invalid values."""
+
+
+# config fields a policy artifact records at training and evaluation must match
+ARTIFACT_CONFIG_KEYS = ("action_mode", "scenario", "counts", "cr_lbt", "scaling", "d_th_us")
 
 
 def _from_dict(cls, data: dict, context: str):
@@ -330,10 +333,7 @@ def cmd_train(cfg: ExperimentConfig) -> tuple[str, str]:
         artifact_path,
         result.learner,
         meta={
-            "action_mode": cfg.action_mode,
-            "scenario": cfg.scenario,
-            "cr_lbt": cfg.cr_lbt,
-            "scaling": cfg.scaling,
+            **{key: getattr(cfg, key) for key in ARTIFACT_CONFIG_KEYS},
             "seed": cfg.seed,
             "episodes": cfg.episodes,
         },
@@ -346,7 +346,11 @@ def cmd_train(cfg: ExperimentConfig) -> tuple[str, str]:
 def cmd_evaluate(
     artifact_path: str, cfg: ExperimentConfig, episodes: Optional[int] = None
 ) -> EvalReport:
-    """Greedy rollout of a stored policy with online dual updates only."""
+    """Greedy rollout of a stored policy with online dual updates only.
+
+    The artifact must have been trained under the same ARTIFACT_CONFIG_KEYS
+    values as cfg; a mismatch raises ConfigFileError instead of running.
+    """
     cfg.validate()
     episodes = episodes if episodes is not None else cfg.eval_episodes
     artifact = load_policy(artifact_path)
@@ -356,6 +360,13 @@ def cmd_evaluate(
             f"artifact dimensions (obs={artifact.obs_dim}, actions={artifact.n_actions}) do not"
             f" match config (obs={env.observation_dim}, actions={env.n_actions})"
         )
+    for key in ARTIFACT_CONFIG_KEYS:
+        trained = artifact.meta.get(key)
+        if trained != getattr(cfg, key):
+            raise ConfigFileError(
+                f"artifact was trained with {key}={trained!r} but the config has"
+                f" {key}={getattr(cfg, key)!r}"
+            )
     dual = cfg.dual.controller()
     rollout = greedy_rollout(
         env, artifact.network(), dual, episodes=episodes, seed=cfg.seed, scaling=cfg.scaling
@@ -420,14 +431,14 @@ def cmd_trace(cfg: ExperimentConfig, duration_us: int, out_path: str) -> int:
     cfg.validate()
     env = cfg.build_env()
     env.reset(seed=cfg.seed)
-    env.apply_defaults()
     outcomes = env.sim.run_for(duration_us)
+    names = env.sim.node_names()
     with open(out_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["t_start", "t_end", "node", "tech", "class", "kind", "delay"])
         for o in outcomes:
             w.writerow([
-                o.start_us, o.end_us, o.name, o.tech.value, o.pclass.value, o.kind.value,
+                o.start_us, o.end_us, names[o.node], o.tech.value, o.pclass.value, o.kind.value,
                 o.access_delay_us if o.access_delay_us is not None else "",
             ])
     return len(outcomes)

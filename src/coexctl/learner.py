@@ -20,6 +20,7 @@ import numpy as np
 
 from .constraint import DualController, augment_state, constraint_signals, sample_lambda
 from .env import CoexEnv
+from .medium import NodeStats
 
 
 def assemble_reward(f0: float, lam: float, v_neg: float) -> float:
@@ -320,7 +321,7 @@ def load_policy(path: str) -> PolicyArtifact:
 
 
 # ----------------------------------------------------------------------
-# training and evaluation loops
+# the rollout loop shared by training, evaluation and the baseline
 
 @dataclass
 class StepLog:
@@ -360,6 +361,78 @@ class TrainResult:
     log: list = field(default_factory=list)
 
 
+def _rollout(
+    env: CoexEnv,
+    dual: Optional[DualController],
+    episodes: int,
+    seed: int,
+    scaling: bool,
+    act: Callable[[np.ndarray, float], Optional[int]],
+    learner: Optional[QLearner] = None,
+    hard_episode_resets: bool = False,
+    log_hook: Optional[Callable[[StepLog], None]] = None,
+) -> tuple[list[StepLog], list[NodeStats]]:
+    """The per-step control loop of training, evaluation and the baseline.
+
+    With a learner, each episode restarts the dual from a sampled lambda0 and
+    each step stores its transition and takes one gradient step; otherwise
+    lambda carries over between episodes. act(obs, epsilon) returns the
+    action, or None to keep the MAC parameters. Without a dual, lambda stays
+    0. Returns the step log and the per-node counters after the first reset.
+    """
+    total_steps = episodes * env.episode_steps
+    # without a dual the pipeline is still logged, at the default kappa
+    kappa = dual.kappa if dual is not None else DualController.kappa
+    log: list[StepLog] = []
+    start_stats: list[NodeStats] = []
+    for episode in range(episodes):
+        if learner is not None:
+            dual.reset(sample_lambda(learner.rng, dual.lambda_max))
+        # a seeded reset builds a fresh medium; otherwise the medium persists
+        reset_seed = seed + episode if episode == 0 or hard_episode_resets else None
+        obs = env.reset(seed=reset_seed, lambda0=dual.lam if dual is not None else 0.0)
+        if episode == 0:
+            start_stats = env.sim.stats_snapshot()
+        for step in range(env.episode_steps):
+            eps = 0.0
+            if learner is not None:
+                cfg = learner.config
+                eps = epsilon_at(len(log), total_steps, cfg.epsilon_start, cfg.epsilon_end,
+                                 cfg.epsilon_anneal_fraction)
+            action = act(obs, eps)
+            res = env.step(action)
+            lam = dual.lam if dual is not None else 0.0
+            # scaled arm: smoothed delay; raw arm: the unsmoothed instantaneous
+            # delay, unbounded in both directions
+            delay_signal = res.f1 if scaling else res.info.pc1_delay_inst_us
+            v, v_dual, cost = constraint_signals(delay_signal, env.d_th_us, kappa, scaling)
+            reward = assemble_reward(res.f0, lam, cost)
+            next_obs = res.observation
+            if dual is not None:
+                dual.feed(v_dual, step, smooth=scaling)
+                env.lam = dual.lam
+                if not res.done:
+                    next_obs = augment_state(res.observation[:-1], dual.lam, dual.lambda_max)
+            loss = None
+            if learner is not None:
+                learner.buffer.push(Transition(obs, action, reward, next_obs, res.done))
+                loss = learner.train_step()
+            entry = StepLog(
+                episode=episode, step=step, lam=lam, v=v, v_scaled=v_dual,
+                v_ema=dual.v_ema if dual is not None else 0.0, cost=cost, jfi=res.f0,
+                delay_inst_us=res.info.pc1_delay_inst_us, delay_smooth_us=res.f1,
+                collision_rate=res.info.coll_rate_agg, airtime_util=res.info.airtime_util,
+                violation_rate=res.info.violation_rate, reward=reward, epsilon=eps,
+                action=action if action is not None else -1,
+                loss=loss if loss is not None else 0.0,
+            )
+            log.append(entry)
+            if log_hook is not None:
+                log_hook(entry)
+            obs = next_obs
+    return log, start_stats
+
+
 def run_training(
     env: CoexEnv,
     dual: DualController,
@@ -370,74 +443,18 @@ def run_training(
     log_hook: Optional[Callable[[StepLog], None]] = None,
     hard_episode_resets: bool = False,
 ) -> TrainResult:
-    """Full training loop over the constrained environment.
+    """Train a fresh learner over the constrained environment.
 
-    Per episode: sample lambda0, reset the env (medium persists after the
-    first hard reset); per step: act epsilon-greedily on the augmented state,
-    advance the env, run the constraint pipeline, assemble the reward, store
-    the transition, and take one gradient step. The dual variable updates
-    every dual.update_period steps so training matches execution dynamics.
+    Each step acts epsilon-greedily on the augmented state, assembles the
+    reward, stores the transition and takes one gradient step; the dual keeps
+    updating every dual.update_period steps so training matches execution
+    dynamics. log_hook sees each step's log entry after its gradient step.
     """
     episodes = episodes if episodes is not None else config.total_episodes
     learner = QLearner(env.observation_dim, env.n_actions, config, seed=seed)
-    if env.observation_dim != learner.obs_dim:
-        raise ValueError("environment/learner dimension mismatch")
     env.lambda_max = dual.lambda_max
-    total_steps = episodes * env.episode_steps
-    log: list[StepLog] = []
-    global_step = 0
-    for episode in range(episodes):
-        lam0 = sample_lambda(learner.rng, dual.lambda_max)
-        dual.reset(lam0)
-        if episode == 0:
-            reset_seed = seed
-        elif hard_episode_resets:
-            reset_seed = seed + episode
-        else:
-            reset_seed = None  # medium persists: continuing ergodic process
-        obs = env.reset(seed=reset_seed, lambda0=lam0)
-        for step in range(env.episode_steps):
-            eps = epsilon_at(
-                global_step, total_steps, config.epsilon_start, config.epsilon_end,
-                config.epsilon_anneal_fraction,
-            )
-            action = learner.act(obs, eps)
-            res = env.step(action)
-            # scaled arm: smoothed delay; raw arm: the unsmoothed instantaneous
-            # delay, unbounded in both directions
-            delay_signal = res.f1 if scaling else res.info.pc1_delay_inst_us
-            v, v_dual, cost = constraint_signals(delay_signal, env.d_th_us, dual.kappa, scaling)
-            reward = assemble_reward(res.f0, dual.lam, cost)
-            lam_logged = dual.lam
-            if scaling:
-                dual.observe(v_dual)
-            else:
-                dual.v_ema = v_dual  # raw arm: unsmoothed signal drives the dual
-            if (step + 1) % dual.update_period == 0:
-                dual.dual_update()
-            env.lam = dual.lam
-            next_obs = (
-                res.observation
-                if res.done
-                else augment_state(res.observation[:-1], dual.lam, dual.lambda_max)
-            )
-            learner.buffer.push(Transition(obs, action, reward, next_obs, res.done))
-            loss = learner.train_step()
-            entry = StepLog(
-                episode=episode, step=step, lam=lam_logged, v=v, v_scaled=v_dual,
-                v_ema=dual.v_ema, cost=cost, jfi=res.f0,
-                delay_inst_us=res.info.pc1_delay_inst_us,
-                delay_smooth_us=res.f1,
-                collision_rate=res.info.coll_rate_agg,
-                airtime_util=res.info.airtime_util,
-                violation_rate=res.info.violation_rate, reward=reward, epsilon=eps,
-                action=action, loss=loss if loss is not None else 0.0,
-            )
-            log.append(entry)
-            if log_hook is not None:
-                log_hook(entry)
-            obs = next_obs if not res.done else res.observation
-            global_step += 1
+    log, _ = _rollout(env, dual, episodes, seed, scaling, learner.act, learner=learner,
+                      hard_episode_resets=hard_episode_resets, log_hook=log_hook)
     return TrainResult(learner=learner, log=log)
 
 
@@ -450,7 +467,6 @@ class EvalRollout:
     delays_smooth_us: list
     jfis: list
     violation_fraction: float
-    mean_pc1_delay_ms: float
 
 
 def greedy_rollout(
@@ -460,88 +476,25 @@ def greedy_rollout(
     episodes: int,
     seed: int,
     scaling: bool = True,
-    fixed_action: Optional[int] = None,
 ) -> EvalRollout:
     """Greedy execution (epsilon = 0) with online dual updates and no learning.
 
-    With q_net None and fixed_action None the environment runs with its static
-    default MAC parameters (the fixed-parameter baseline).
+    With q_net None the environment keeps the preset's default MAC parameters
+    (the fixed-parameter baseline); with dual None lambda stays 0.
     """
-    log: list[StepLog] = []
-    delays, jfis = [], []
-    violations = 0
-    steps = 0
-    start_stats = None
-    obs = None
-    for episode in range(episodes):
-        lam0 = dual.lam if dual is not None else 0.0
-        obs = env.reset(seed=seed if episode == 0 else None, lambda0=lam0)
-        if episode == 0:
-            if q_net is None and fixed_action is None:
-                env.apply_defaults()
-            start_stats = env.sim.stats_snapshot()
-        for step in range(env.episode_steps):
-            if fixed_action is not None:
-                action = fixed_action
-                res = env.step(action)
-            elif q_net is not None:
-                action = int(np.argmax(q_net.forward(obs)[0]))
-                res = env.step(action)
-            else:
-                action = -1  # baseline: leave default parameters in place
-                res = env.step_passive()
-            lam = dual.lam if dual is not None else 0.0
-            delay_signal = res.f1 if scaling else res.info.pc1_delay_inst_us
-            v, v_dual, cost = constraint_signals(delay_signal, env.d_th_us,
-                                                 dual.kappa if dual else 0.5, scaling)
-            if dual is not None:
-                if scaling:
-                    dual.observe(v_dual)
-                else:
-                    dual.v_ema = v_dual
-                if (step + 1) % dual.update_period == 0:
-                    dual.dual_update()
-                env.lam = dual.lam
-            log.append(StepLog(
-                episode=episode, step=step, lam=lam, v=v, v_scaled=v_dual,
-                v_ema=dual.v_ema if dual is not None else 0.0, cost=cost,
-                jfi=res.f0, delay_inst_us=res.info.pc1_delay_inst_us, delay_smooth_us=res.f1,
-                collision_rate=res.info.coll_rate_agg, airtime_util=res.info.airtime_util,
-                violation_rate=res.info.violation_rate,
-                reward=assemble_reward(res.f0, lam, cost), epsilon=0.0,
-                action=action, loss=0.0,
-            ))
-            delays.append(res.f1)
-            jfis.append(res.f0)
-            violations += res.f1 > env.d_th_us
-            steps += 1
-            obs = (
-                augment_state(res.observation[:-1], dual.lam, dual.lambda_max)
-                if dual is not None and not res.done
-                else res.observation
-            )
-    end_stats = env.sim.stats_snapshot()
+    def act(obs: np.ndarray, eps: float) -> Optional[int]:
+        return None if q_net is None else int(np.argmax(q_net.forward(obs)[0]))
+
+    log, start = _rollout(env, dual, episodes, seed, scaling, act)
     names = env.sim.node_names()
-    coll_prob, eff = {}, {}
-    for name, s0, s1 in zip(names, start_stats, end_stats):
-        d_succ = s1.successes - s0.successes
-        d_coll = s1.collisions - s0.collisions
-        attempts = d_succ + d_coll
-        coll_prob[name] = d_coll / attempts if attempts else 0.0
-        occupied = (
-            (s1.success_air_us - s0.success_air_us)
-            + (s1.collision_air_us - s0.collision_air_us)
-            + (s1.reserve_us - s0.reserve_us)
-            + (s1.pulse_us - s0.pulse_us)
-        )
-        eff[name] = (s1.success_air_us - s0.success_air_us) / occupied if occupied else 0.0
+    window = [end.since(s0) for s0, end in zip(start, env.sim.stats_snapshot())]
+    delays = [entry.delay_smooth_us for entry in log]
     return EvalRollout(
         log=log,
         node_names=names,
-        collision_probability=coll_prob,
-        airtime_efficiency=eff,
+        collision_probability={n: w.collision_probability() for n, w in zip(names, window)},
+        airtime_efficiency={n: w.airtime_efficiency() for n, w in zip(names, window)},
         delays_smooth_us=delays,
-        jfis=jfis,
-        violation_fraction=violations / steps if steps else 0.0,
-        mean_pc1_delay_ms=float(np.mean(delays)) / 1000.0 if delays else 0.0,
+        jfis=[entry.jfi for entry in log],
+        violation_fraction=sum(d > env.d_th_us for d in delays) / len(log),
     )

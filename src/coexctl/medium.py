@@ -23,7 +23,7 @@ participant. Reservation holds and CR pulses never corrupt data.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -141,7 +141,6 @@ class TxOutcome:
     """One completed channel event (data frame, reservation hold, or CR pulse)."""
 
     node: int
-    name: str
     tech: Tech
     pclass: PClass
     kind: TxKind
@@ -168,6 +167,10 @@ class NodeStats:
 
     def copy(self) -> "NodeStats":
         return replace(self)
+
+    def since(self, start: "NodeStats") -> "NodeStats":
+        """Counters accumulated after the snapshot start (a window diff)."""
+        return NodeStats(*(getattr(self, f.name) - getattr(start, f.name) for f in fields(self)))
 
     @property
     def attempts(self) -> int:
@@ -510,7 +513,6 @@ class Simulator:
         self._outcomes.append(
             TxOutcome(
                 node=node.idx,
-                name=node.name,
                 tech=node.cfg.tech,
                 pclass=node.cfg.pclass,
                 kind=TxKind.CR_PULSE,
@@ -567,7 +569,6 @@ class Simulator:
                     self._outcomes.append(
                         TxOutcome(
                             node=node.idx,
-                            name=node.name,
                             tech=node.cfg.tech,
                             pclass=node.cfg.pclass,
                             kind=TxKind.RS,
@@ -606,7 +607,6 @@ class Simulator:
             self._outcomes.append(
                 TxOutcome(
                     node=node.idx,
-                    name=node.name,
                     tech=node.cfg.tech,
                     pclass=node.cfg.pclass,
                     kind=TxKind.COLLISION,
@@ -623,7 +623,6 @@ class Simulator:
             self._outcomes.append(
                 TxOutcome(
                     node=node.idx,
-                    name=node.name,
                     tech=node.cfg.tech,
                     pclass=node.cfg.pclass,
                     kind=TxKind.SUCCESS,
@@ -636,19 +635,3 @@ class Simulator:
         node.state = _DEFER
         self._blocking_end(t)
 
-
-def configure_network(
-    medium: MediumParams,
-    contenders: Iterable[ContenderConfig],
-    cr_lbt_enabled: bool = False,
-    seed: int = 0,
-    cr_redraw_on_defer: bool = False,
-) -> Simulator:
-    """Validate configs and build a deterministic simulator."""
-    return Simulator(
-        medium,
-        contenders,
-        cr_lbt_enabled=cr_lbt_enabled,
-        seed=seed,
-        cr_redraw_on_defer=cr_redraw_on_defer,
-    )

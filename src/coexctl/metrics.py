@@ -11,7 +11,7 @@ constraint signal relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,14 +30,17 @@ OBS_CLIP = 5.0
 def jain_index(airtimes: Sequence[float]) -> float:
     """Jain's fairness index (sum x)^2 / (n * sum x^2).
 
-    An all-zero vector is vacuously fair and returns 1.0.
+    An all-zero vector is vacuously fair and returns 1.0. Values are divided
+    by the largest one first so that squaring tiny airtimes cannot underflow.
     """
     if len(airtimes) == 0:
         raise ValueError("jain_index requires a non-empty list")
-    total = float(sum(airtimes))
-    sq = float(sum(x * x for x in airtimes))
-    if sq == 0.0:
+    peak = float(max(airtimes))
+    if peak == 0.0:
         return 1.0
+    scaled = [float(x) / peak for x in airtimes]
+    total = sum(scaled)
+    sq = sum(x * x for x in scaled)
     return total * total / (len(airtimes) * sq)
 
 
@@ -78,13 +81,6 @@ class StepMetrics:
             airtime_util=0.0,
             violation_rate=0.0,
             airtime_ema={i: 0.0 for i in ids},
-        )
-
-    def copy(self) -> "StepMetrics":
-        return replace(
-            self,
-            collision_rate=dict(self.collision_rate),
-            airtime_ema=dict(self.airtime_ema),
         )
 
 

@@ -32,9 +32,9 @@ from coexctl.medium import (
     ContenderConfig,
     MediumParams,
     PClass,
+    Simulator,
     Tech,
     TxKind,
-    configure_network,
 )
 
 
@@ -122,7 +122,7 @@ def _coex_mix_contenders():
 def test_criterion_3_conservation_and_exclusion():
     horizon = 1_000_000
     window = 2_500
-    sim = configure_network(MediumParams(), _coex_mix_contenders(), seed=2024)
+    sim = Simulator(MediumParams(), _coex_mix_contenders(), seed=2024)
     outcomes = []
     edges = [0]
     occupied = [0]
@@ -186,7 +186,7 @@ def test_criterion_4_single_contender_analytic_delay():
     # transmits. Access delay (head-of-line to transmission start) is
     # therefore exactly 500 us every cycle.
     expected = 500.0
-    sim = configure_network(
+    sim = Simulator(
         MediumParams(),
         [ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000)],
         cr_lbt_enabled=False,
@@ -210,8 +210,8 @@ def test_criterion_5_cr_lbt_directional():
     agg = {False: {}, True: {}}
     for cr in (False, True):
         for seed in seeds:
-            sim = configure_network(MediumParams(), _coex_mix_contenders(),
-                                    cr_lbt_enabled=cr, seed=seed)
+            sim = Simulator(MediumParams(), _coex_mix_contenders(),
+                            cr_lbt_enabled=cr, seed=seed)
             sim.run_for(horizon)
             for n in sim.nodes:
                 a = agg[cr].setdefault(n.name, [0, 0, 0, 0])

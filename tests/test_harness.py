@@ -136,26 +136,35 @@ def test_rerun_same_manifest_bit_identical_log(tmp_path):
     assert logs[0] == logs[1]
 
 
-def test_train_log_constraint_consistency(tmp_path):
-    # the logged scaled violation is recomputable from the logged smoothed
-    # delay, and the logged reward decomposes exactly (bitwise: the dual and
-    # the learner consumed the same value)
+@pytest.mark.parametrize("scaling", [True, False], ids=["scaled", "raw"])
+def test_train_log_constraint_consistency(tmp_path, scaling):
+    # the logged violation is recomputable from the logged delay, and the
+    # logged reward decomposes exactly (bitwise: the dual and the learner
+    # consumed the same value)
     import math
 
-    cfg = smoke_config(tmp_path)
+    cfg = smoke_config(tmp_path, scaling=scaling)
     _, log = cmd_train(cfg)
     v_ema = 0.0
     alpha = cfg.dual.alpha_v
     for row in read_step_log(log):
-        v = (cfg.d_th_us - row["delay_smooth_us"]) / cfg.d_th_us
+        delay = row["delay_smooth_us"] if scaling else row["delay_inst_us"]
+        v = (cfg.d_th_us - delay) / cfg.d_th_us
         assert row["v"] == v
-        assert row["v_scaled"] == math.tanh(v / cfg.dual.kappa)
-        assert row["cost"] == min(0.0, row["v_scaled"])
         assert row["reward"] == row["jfi"] + row["lam"] * row["cost"]
-        # the dual's smoothed trajectory follows the same scaled signal the
-        # learner consumed
-        v_ema = alpha * row["v_scaled"] + (1.0 - alpha) * v_ema
-        assert row["v_ema"] == v_ema
+        if scaling:
+            assert row["v_scaled"] == math.tanh(v / cfg.dual.kappa)
+            assert row["cost"] == min(0.0, row["v_scaled"])
+            # the dual's smoothed trajectory follows the same scaled signal
+            # the learner consumed
+            v_ema = alpha * row["v_scaled"] + (1.0 - alpha) * v_ema
+            assert row["v_ema"] == v_ema
+        else:
+            # raw arm: the unsmoothed signed violation goes to both sides and
+            # drives the dual directly, with no EMA in between
+            assert row["v_scaled"] == v
+            assert row["cost"] == v
+            assert row["v_ema"] == row["v_scaled"]
 
 
 def test_evaluate_report_and_determinism(tmp_path):
@@ -171,11 +180,15 @@ def test_evaluate_report_and_determinism(tmp_path):
         assert 0.0 <= r1.airtime_efficiency[n] <= 1.0
 
 
-def test_evaluate_rejects_mismatched_config(tmp_path):
+@pytest.mark.parametrize("mode,match", [("aifsn", "dimensions"), ("mcot", "action_mode")],
+                         ids=["cw_to_aifsn", "cw_to_mcot"])
+def test_evaluate_rejects_mismatched_config(tmp_path, mode, match):
+    # aifsn changes the action count; mcot has cw's 49 actions, so only the
+    # configuration recorded in the artifact tells the two apart
     cfg = smoke_config(tmp_path)
     artifact, _ = cmd_train(cfg)
-    wrong = smoke_config(tmp_path, action_mode="aifsn", out_dir=str(tmp_path / "w"))
-    with pytest.raises(ConfigFileError, match="dimensions"):
+    wrong = smoke_config(tmp_path, action_mode=mode, out_dir=str(tmp_path / "w"))
+    with pytest.raises(ConfigFileError, match=match):
         cmd_evaluate(artifact, wrong, episodes=1)
 
 

@@ -9,9 +9,9 @@ from coexctl.medium import (
     ContenderConfig,
     MediumParams,
     PClass,
+    Simulator,
     Tech,
     TxKind,
-    configure_network,
     draw_backoff,
     on_collision,
     on_success,
@@ -36,33 +36,33 @@ def data_outcomes(outcomes):
 
 
 # ----------------------------------------------------------------------
-# configure_network
+# Simulator construction
 
 
 def test_coex_mix_preset_has_three_contenders():
-    sim = configure_network(MediumParams(), coex_mix_contenders(), seed=0)
+    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=0)
     assert len(sim.nodes) == 3
     assert sim.node_names() == ["nru_pc1_0", "nru_pc3_0", "wifi_pc3_0"]
 
 
 def test_empty_contender_list_rejected():
     with pytest.raises(ConfigError):
-        configure_network(MediumParams(), [], seed=0)
+        Simulator(MediumParams(), [], seed=0)
 
 
 def test_invalid_config_names_field():
     bad = ContenderConfig(Tech.NRU, PClass.PC1, aifsn=0, cw_min=0, cw_max=0, mcot_us=2000)
     with pytest.raises(ConfigError, match="aifsn"):
-        configure_network(MediumParams(), [bad], seed=0)
+        Simulator(MediumParams(), [bad], seed=0)
     bad = ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=14, mcot_us=2000)
     with pytest.raises(ConfigError, match="cw_max"):
-        configure_network(MediumParams(), [bad], seed=0)
+        Simulator(MediumParams(), [bad], seed=0)
 
 
 def test_same_seed_identical_first_1000_outcomes():
     traces = []
     for _ in range(2):
-        sim = configure_network(MediumParams(), coex_mix_contenders(), seed=42)
+        sim = Simulator(MediumParams(), coex_mix_contenders(), seed=42)
         out = []
         while len(out) < 1000:
             out.extend(sim.run_for(100_000))
@@ -145,7 +145,7 @@ def test_beb_ladder_closed_form():
 def test_lone_wifi_inter_success_gap_is_aifs_plus_frame():
     # aifsn=2, cw fixed 0: every inter-success gap = AIFS + frame duration
     cfg = [ContenderConfig(Tech.WIFI, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000)]
-    sim = configure_network(MediumParams(), cfg, seed=0)
+    sim = Simulator(MediumParams(), cfg, seed=0)
     out = data_outcomes(sim.run_for(200_000))
     assert all(o.kind == TxKind.SUCCESS for o in out)
     aifs = 16 + 2 * 9
@@ -155,7 +155,7 @@ def test_lone_wifi_inter_success_gap_is_aifs_plus_frame():
 
 
 def test_success_delay_is_start_minus_hol():
-    sim = configure_network(MediumParams(), single_nru_pc1(), seed=0)
+    sim = Simulator(MediumParams(), single_nru_pc1(), seed=0)
     out = data_outcomes(sim.run_for(100_000))
     prev_end = 0
     for o in out:
@@ -169,7 +169,7 @@ def test_success_delay_is_start_minus_hol():
 
 
 def test_plain_gap_emits_reservation_then_boundary_start():
-    sim = configure_network(MediumParams(), single_nru_pc1(), seed=0)
+    sim = Simulator(MediumParams(), single_nru_pc1(), seed=0)
     out = sim.run_for(10_000)
     rs = [o for o in out if o.kind == TxKind.RS]
     data = data_outcomes(out)
@@ -184,7 +184,7 @@ def test_plain_gap_emits_reservation_then_boundary_start():
 def test_zero_gap_transmits_immediately_without_rs():
     # aifsn=276 puts the first access exactly on the 2500 us boundary
     cfg = [ContenderConfig(Tech.NRU, PClass.PC1, aifsn=276, cw_min=0, cw_max=0, mcot_us=2000)]
-    sim = configure_network(MediumParams(), cfg, seed=0)
+    sim = Simulator(MediumParams(), cfg, seed=0)
     out = sim.run_for(6_000)
     assert (16 + 276 * 9) % 500 == 0
     assert [o.kind for o in out][0] == TxKind.SUCCESS
@@ -194,7 +194,7 @@ def test_zero_gap_transmits_immediately_without_rs():
 
 def test_cr_staggered_commits_resolve_to_single_transmitter():
     # inject two commits at different micro-slot phases; exactly one fires
-    sim = configure_network(
+    sim = Simulator(
         MediumParams(),
         [
             ContenderConfig(Tech.NRU, PClass.PC1, aifsn=500, cw_min=0, cw_max=0, mcot_us=2000),
@@ -218,7 +218,7 @@ def test_cr_staggered_commits_resolve_to_single_transmitter():
 
 
 def test_cr_in_phase_tie_collides_at_boundary():
-    sim = configure_network(
+    sim = Simulator(
         MediumParams(),
         [
             ContenderConfig(Tech.NRU, PClass.PC1, aifsn=500, cw_min=0, cw_max=0, mcot_us=2000),
@@ -246,7 +246,7 @@ def test_plain_hold_does_not_block_wifi_and_boundary_start_collides():
         ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
         ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=4, cw_min=0, cw_max=0, mcot_us=4000),
     ]
-    sim = configure_network(MediumParams(), cfg, seed=0)
+    sim = Simulator(MediumParams(), cfg, seed=0)
     out = sim.run_for(10_000)
     rs = [o for o in out if o.kind == TxKind.RS][0]
     data = data_outcomes(out)
@@ -262,7 +262,7 @@ def test_blocking_rs_variant_freezes_wifi():
         ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
         ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=4, cw_min=0, cw_max=0, mcot_us=4000),
     ]
-    sim = configure_network(
+    sim = Simulator(
         MediumParams(rs_blocks_medium=True), cfg, seed=0
     )
     out = sim.run_for(50_000)
@@ -278,7 +278,7 @@ def test_cr_pulses_block_wifi_countdown():
         ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
         ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=4, cw_min=0, cw_max=0, mcot_us=4000),
     ]
-    sim = configure_network(MediumParams(), cfg, cr_lbt_enabled=True, seed=0)
+    sim = Simulator(MediumParams(), cfg, cr_lbt_enabled=True, seed=0)
     out = sim.run_for(100_000)
     pulses = [o for o in out if o.kind == TxKind.CR_PULSE]
     assert pulses, "expected CR pulses"
@@ -296,7 +296,7 @@ def test_cr_cross_tech_tie_resolves_without_collision():
         ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
         ContenderConfig(Tech.WIFI, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
     ]
-    sim = configure_network(MediumParams(), cfg, cr_lbt_enabled=True, seed=0)
+    sim = Simulator(MediumParams(), cfg, cr_lbt_enabled=True, seed=0)
     out = sim.run_for(20_000)
     data = data_outcomes(out)
     assert data, "expected transmissions"
@@ -309,7 +309,7 @@ def test_cr_cross_tech_tie_resolves_without_collision():
 
 
 def test_single_transmitter_success():
-    sim = configure_network(MediumParams(), single_nru_pc1(), seed=1)
+    sim = Simulator(MediumParams(), single_nru_pc1(), seed=1)
     out = data_outcomes(sim.run_for(50_000))
     assert out and all(o.kind == TxKind.SUCCESS for o in out)
 
@@ -319,7 +319,7 @@ def test_identical_backoff_wifi_pair_collides():
         ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=3, cw_min=0, cw_max=0, mcot_us=4000),
         ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=3, cw_min=0, cw_max=0, mcot_us=4000),
     ]
-    sim = configure_network(MediumParams(), cfg, seed=0)
+    sim = Simulator(MediumParams(), cfg, seed=0)
     out = data_outcomes(sim.run_for(50_000))
     assert out and all(o.kind == TxKind.COLLISION for o in out)
     # simultaneous starts
@@ -328,7 +328,7 @@ def test_identical_backoff_wifi_pair_collides():
 
 
 def test_no_success_overlaps_any_data_interval():
-    sim = configure_network(MediumParams(), coex_mix_contenders(), seed=9)
+    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=9)
     out = data_outcomes(sim.run_for(1_000_000))
     spans = sorted((o.start_us, o.end_us, o.kind) for o in out)
     for (s1, e1, k1), (s2, e2, k2) in zip(spans, spans[1:]):
@@ -337,7 +337,7 @@ def test_no_success_overlaps_any_data_interval():
 
 
 def test_nru_data_starts_on_slot_boundaries():
-    sim = configure_network(MediumParams(), coex_mix_contenders(), seed=4)
+    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=4)
     out = data_outcomes(sim.run_for(1_000_000))
     for o in out:
         if o.tech == Tech.NRU:
@@ -349,13 +349,13 @@ def test_nru_data_starts_on_slot_boundaries():
 
 
 def test_run_for_requires_positive_duration():
-    sim = configure_network(MediumParams(), single_nru_pc1(), seed=0)
+    sim = Simulator(MediumParams(), single_nru_pc1(), seed=0)
     with pytest.raises(ValueError):
         sim.run_for(0)
 
 
 def test_run_for_split_windows_compose():
-    sims = [configure_network(MediumParams(), coex_mix_contenders(), seed=5) for _ in range(2)]
+    sims = [Simulator(MediumParams(), coex_mix_contenders(), seed=5) for _ in range(2)]
     whole = sims[0].run_for(2500) + sims[0].run_for(2500)
     halves = []
     for _ in range(4):
@@ -366,13 +366,13 @@ def test_run_for_split_windows_compose():
 
 
 def test_saturated_preset_busy_fraction_above_0_9():
-    sim = configure_network(MediumParams(), coex_mix_contenders(), seed=6)
+    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=6)
     sim.run_for(10_000_000)
     assert sim.occupied_us_at() / sim.clock > 0.9
 
 
 def test_occupancy_integrator_matches_trace_union():
-    sim = configure_network(MediumParams(), coex_mix_contenders(), seed=7)
+    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=7)
     horizon = 1_000_000
     out = list(sim.run_for(horizon))
     occupied_at_horizon = sim.occupied_us_at()
@@ -395,7 +395,7 @@ def test_occupancy_integrator_matches_trace_union():
 
 
 def test_work_conservation_idle_bound():
-    sim = configure_network(MediumParams(), coex_mix_contenders(), seed=8)
+    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=8)
     out = list(sim.run_for(2_000_000))
     spans = sorted((o.start_us, o.end_us) for o in out)
     merged = []
@@ -413,7 +413,7 @@ def test_work_conservation_idle_bound():
 def test_cr_single_contender_matches_plain_throughput():
     runs = {}
     for cr in (False, True):
-        sim = configure_network(MediumParams(), single_nru_pc1(), cr_lbt_enabled=cr, seed=3)
+        sim = Simulator(MediumParams(), single_nru_pc1(), cr_lbt_enabled=cr, seed=3)
         out = data_outcomes(sim.run_for(500_000))
         runs[cr] = [(o.start_us, o.end_us, o.kind) for o in out]
     assert runs[False] == runs[True]
@@ -425,7 +425,7 @@ def test_cr_single_contender_matches_plain_throughput():
 
 
 def test_apply_mac_params_takes_effect_on_next_draws():
-    sim = configure_network(MediumParams(), coex_mix_contenders(), seed=10)
+    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=10)
     sim.run_for(100_000)
     sim.apply_mac_params({
         (Tech.NRU, PClass.PC1): {"cw_min": 0, "cw_max": 7},
@@ -441,7 +441,7 @@ def test_apply_mac_params_takes_effect_on_next_draws():
 def test_apply_mac_params_idempotent():
     traces = []
     for repeats in (1, 2):
-        sim = configure_network(MediumParams(), coex_mix_contenders(), seed=11)
+        sim = Simulator(MediumParams(), coex_mix_contenders(), seed=11)
         sim.run_for(50_000)
         for _ in range(repeats):
             sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"cw_min": 0, "cw_max": 7}})
@@ -451,7 +451,7 @@ def test_apply_mac_params_idempotent():
 
 
 def test_apply_mac_params_rejects_and_leaves_state():
-    sim = configure_network(
+    sim = Simulator(
         MediumParams(frame_tx_us=1500), coex_mix_contenders(), seed=12
     )
     before = {n.idx: n.cfg.mcot_us for n in sim.nodes}
@@ -468,7 +468,7 @@ def test_medium_invariants_validated():
 
 
 def test_node_state_invariants_hold_throughout_run():
-    sim = configure_network(MediumParams(), coex_mix_contenders(), seed=13)
+    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=13)
     for _ in range(60):
         sim.run_for(10_000)
         for node in sim.nodes:
@@ -486,7 +486,7 @@ def test_cr_redraw_on_defer_switch_changes_dynamics():
     ]
     traces = {}
     for redraw in (False, True):
-        sim = configure_network(
+        sim = Simulator(
             MediumParams(), cfg, cr_lbt_enabled=True, seed=21, cr_redraw_on_defer=redraw
         )
         out = sim.run_for(3_000_000)

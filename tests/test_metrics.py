@@ -17,7 +17,7 @@ from coexctl.metrics import (
 
 def outcome(node, kind, start, end, pclass=PClass.PC3, delay=None):
     return TxOutcome(
-        node=node, name=f"n{node}", tech=Tech.NRU, pclass=pclass, kind=kind,
+        node=node, tech=Tech.NRU, pclass=pclass, kind=kind,
         start_us=start, end_us=end, access_delay_us=delay,
     )
 
