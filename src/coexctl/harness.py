@@ -190,15 +190,20 @@ def read_step_log(path: str) -> list[dict]:
         return out
 
 
+def _git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], capture_output=True, text=True,
+                          cwd=os.path.dirname(__file__), timeout=5)
+
+
 def code_version() -> str:
+    """The git HEAD, with "+dirty" when tracked files have local edits."""
     try:
-        rev = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, cwd=os.path.dirname(__file__), timeout=5,
-        )
+        rev = _git("rev-parse", "HEAD")
         if rev.returncode == 0:
-            return rev.stdout.strip()
-    except OSError:
+            status = _git("status", "--porcelain", "--untracked-files=no")
+            dirty = status.returncode == 0 and status.stdout.strip()
+            return rev.stdout.strip() + ("+dirty" if dirty else "")
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return f"coexctl-{__version__}"
 

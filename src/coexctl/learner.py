@@ -47,74 +47,147 @@ def epsilon_at(step: int, total_steps: int, start: float = 1.0, end: float = 0.0
     return start + (end - start) * frac
 
 
+# elements per block of a blocked pass over parameters: 256 KiB of float64, so
+# an Adam block of p, g, m, v and two scratch arrays stays in L2 across passes
+_BLOCK = 32768
+
+
+def param_shapes(dims: list[int]) -> list[tuple]:
+    """Shapes of an MLP's parameters in buffer order: all weights, then all biases."""
+    layers = list(zip(dims[:-1], dims[1:]))
+    return [(fan_in, fan_out) for fan_in, fan_out in layers] + [(fan_out,) for _, fan_out in layers]
+
+
+def _layer_views(buf: np.ndarray, dims: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a flat buffer laid out as param_shapes(dims)."""
+    shapes = param_shapes(dims)
+    ends = np.cumsum([np.prod(shape) for shape in shapes])[:-1]
+    views = [part.reshape(shape) for part, shape in zip(np.split(buf, ends), shapes)]
+    return views[:len(dims) - 1], views[len(dims) - 1:]
+
+
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    h = np.matmul(x, w, out=out)
+    h += b
+    if relu:
+        np.maximum(h, 0.0, out=h)
+    return h
+
+
 class MLP:
-    """Fully connected ReLU network with identity output and manual backprop."""
+    """Fully connected ReLU network with identity output and manual backprop.
+
+    All parameters live in one contiguous float64 buffer `flat` (all weights,
+    then all biases, in the artifact's payload order); `weights` and `biases`
+    are views into it, and `grad` holds the gradients in the same layout.
+    """
 
     def __init__(self, dims: list[int], rng: np.random.Generator):
         self.dims = list(dims)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+        n = sum(int(np.prod(shape)) for shape in param_shapes(self.dims))
+        self.flat = np.empty(n)
+        self.grad = np.zeros(n)
+        self.weights, self.biases = _layer_views(self.flat, self.dims)
+        self._grads_w, self._grads_b = _layer_views(self.grad, self.dims)
+        self._scratch: dict[str, list[np.ndarray]] = {}
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            # drawn a block of rows at a time, the same stream as one draw,
+            # so no layer-sized temporary is allocated and left in the heap
+            for rows in np.array_split(w, max(1, w.size // _BLOCK)):
+                rows[...] = rng.uniform(-bound, bound, size=rows.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+
+    def _hidden(self, kind: str, rows: int, dtype=np.float64) -> list[np.ndarray]:
+        """One (rows, width) scratch array per hidden layer, kept per kind for the
+        last batch size, so a step reuses memory instead of faulting in new pages."""
+        bufs = self._scratch.get(kind)
+        if bufs is None or (bufs and bufs[0].shape[0] != rows):
+            bufs = self._scratch[kind] = [np.empty((rows, n), dtype) for n in self.dims[1:-1]]
+        return bufs
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            x = np.maximum(x @ w + b, 0.0)
-        return x @ self.weights[-1] + self.biases[-1]
+        for w, b, h in zip(self.weights[:-1], self.biases[:-1], self._hidden("forward", len(x))):
+            x = _dense(x, w, b, relu=True, out=h)
+        return _dense(x, self.weights[-1], self.biases[-1], relu=False)
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        acts = [x]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            x = np.maximum(x @ w + b, 0.0)
-            acts.append(x)
-        out = x @ self.weights[-1] + self.biases[-1]
-        return out, acts
+        """Output and per-layer inputs; the hidden activations are scratch
+        arrays that the next forward_cached call overwrites."""
+        acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
+        for w, b, h in zip(self.weights[:-1], self.biases[:-1], self._hidden("cached", len(acts[0]))):
+            acts.append(_dense(acts[-1], w, b, relu=True, out=h))
+        return _dense(acts[-1], self.weights[-1], self.biases[-1], relu=False), acts
 
     def backward(
         self, acts: list[np.ndarray], dout: np.ndarray
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Gradients of a scalar loss given d(loss)/d(output)."""
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        """Gradients of a scalar loss given d(loss)/d(output).
+
+        They are written into `grad` and returned as views of it, which the
+        next call overwrites.
+        """
+        deltas = self._hidden("delta", len(dout))
+        masks = self._hidden("mask", len(dout), bool)
         delta = dout
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = acts[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            np.matmul(acts[layer].T, delta, out=self._grads_w[layer])
+            np.sum(delta, axis=0, out=self._grads_b[layer])
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (acts[layer] > 0.0)
-        return grads_w, grads_b
-
-    def parameters(self) -> list[np.ndarray]:
-        return self.weights + self.biases
+                delta = np.matmul(delta, self.weights[layer].T, out=deltas[layer - 1])
+                delta *= np.greater(acts[layer], 0.0, out=masks[layer - 1])
+        return list(self._grads_w), list(self._grads_b)
 
     def copy_from(self, other: "MLP") -> None:
-        self.weights = [w.copy() for w in other.weights]
-        self.biases = [b.copy() for b in other.biases]
+        np.copyto(self.flat, other.flat)
+
+
 
 
 class Adam:
-    def __init__(self, params: list[np.ndarray], lr: float,
+    """Adam over one flat array, in place block by block; per element the
+    arithmetic and its order are the textbook update's, whatever the block size."""
+
+    def __init__(self, params: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        if params.ndim != 1:
+            raise ValueError("Adam updates one flat parameter array")
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        block = min(params.size, _BLOCK)
+        self._s1, self._s2 = np.empty(block), np.empty(block)
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1c = 1.0 - b1**self.t
+        b2c = 1.0 - b2**self.t
+        for lo in range(0, params.size, _BLOCK):
+            hi = lo + _BLOCK
+            p, g, m, v = params[lo:hi], grads[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            s1, s2 = self._s1[:p.size], self._s2[:p.size]
+            # m = b1*m + (1-b1)*g
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=s1)
+            m += s1
+            # v = b2*v + ((1-b2)*g)*g
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=s1)
+            s1 *= g
+            v += s1
+            # p -= (lr*(m/b1c)) / (sqrt(v/b2c) + eps)
+            np.divide(m, b1c, out=s1)
+            s1 *= lr
+            np.divide(v, b2c, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            s1 /= s2
+            p -= s1
 
 
 @dataclass
@@ -213,7 +286,7 @@ class QLearner:
         self.online = MLP(dims, self.rng)
         self.target = MLP(dims, self.rng)
         self.sync_target()
-        self.optimizer = Adam(self.online.parameters(), lr=config.learning_rate)
+        self.optimizer = Adam(self.online.flat, lr=config.learning_rate)
         self.buffer = ReplayBuffer(config.buffer_capacity, obs_dim)
         self.train_steps = 0
 
@@ -241,8 +314,8 @@ class QLearner:
         loss = float(np.mean(err**2))
         dout = np.zeros_like(q_all)
         dout[np.arange(n), actions] = 2.0 * err / n
-        grads_w, grads_b = self.online.backward(acts, dout)
-        self.optimizer.step(self.online.weights + self.online.biases, grads_w + grads_b)
+        self.online.backward(acts, dout)
+        self.optimizer.step(self.online.flat, self.online.grad)
         self.train_steps += 1
         if self.train_steps % self.config.target_sync_interval == 0:
             self.sync_target()
@@ -257,14 +330,14 @@ _ARTIFACT_VERSION = 1
 
 
 def save_policy(path: str, learner: QLearner, meta: dict) -> None:
-    arrays = learner.online.weights + learner.online.biases
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    net = learner.online
+    payload = np.ascontiguousarray(net.flat, dtype="<f8")
     header = {
         "version": _ARTIFACT_VERSION,
         "obs_dim": learner.obs_dim,
         "n_actions": learner.n_actions,
         "hidden_layers": list(learner.config.hidden_layers),
-        "shapes": [list(a.shape) for a in arrays],
+        "shapes": [list(shape) for shape in param_shapes(net.dims)],
         "checksum": hashlib.sha256(payload).hexdigest(),
         "meta": meta,
     }
@@ -287,9 +360,8 @@ class PolicyArtifact:
     def network(self) -> MLP:
         dims = [self.obs_dim, *self.hidden_layers, self.n_actions]
         net = MLP(dims, np.random.default_rng(0))
-        k = len(net.weights)
-        net.weights = [a.copy() for a in self.arrays[:k]]
-        net.biases = [a.copy() for a in self.arrays[k:]]
+        for dst, src in zip(net.weights + net.biases, self.arrays):
+            np.copyto(dst, src)
         return net
 
 
@@ -300,22 +372,26 @@ def load_policy(path: str) -> PolicyArtifact:
             raise ValueError(f"not a policy artifact: {path}")
         (hlen,) = struct.unpack("<I", f.read(4))
         header = json.loads(f.read(hlen).decode())
-        payload = f.read()
-    if header["version"] != _ARTIFACT_VERSION:
-        raise ValueError(f"unsupported artifact version {header['version']}")
-    if hashlib.sha256(payload).hexdigest() != header["checksum"]:
+        if header["version"] != _ARTIFACT_VERSION:
+            raise ValueError(f"unsupported artifact version {header['version']}")
+        dims = [header["obs_dim"], *header["hidden_layers"], header["n_actions"]]
+        shapes = param_shapes(dims)
+        if [tuple(shape) for shape in header["shapes"]] != shapes:
+            raise ValueError(f"artifact shapes {header['shapes']} do not match layer sizes {dims}")
+        size = sum(int(np.prod(shape)) for shape in shapes)
+        # read straight into the array: no intermediate bytes object
+        flat = np.fromfile(f, dtype="<f8", count=size)
+        trailing = f.read(1)
+    if flat.size != size or trailing:
+        raise ValueError(f"artifact payload is not the {8 * size} bytes its shapes imply")
+    if hashlib.sha256(flat).hexdigest() != header["checksum"]:
         raise ValueError("artifact payload checksum mismatch")
-    arrays = []
-    off = 0
-    for shape in header["shapes"]:
-        size = int(np.prod(shape)) * 8
-        arrays.append(np.frombuffer(payload[off:off + size], dtype="<f8").reshape(shape).copy())
-        off += size
+    weights, biases = _layer_views(flat, dims)
     return PolicyArtifact(
         obs_dim=header["obs_dim"],
         n_actions=header["n_actions"],
         hidden_layers=tuple(header["hidden_layers"]),
-        arrays=arrays,
+        arrays=weights + biases,
         meta=header.get("meta", {}),
     )
 

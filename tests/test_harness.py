@@ -2,6 +2,7 @@
 
 import json
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from coexctl.harness import (
     cmd_evaluate,
     cmd_train,
     cmd_trace,
+    code_version,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -387,3 +389,14 @@ def test_trace_export_schema(tmp_path):
         if cells[5] in ("RS", "CR_PULSE", "COLLISION"):
             assert cells[6] == ""
     assert "SUCCESS" in kinds or "COLLISION" in kinds
+
+
+@pytest.mark.parametrize("status_out,expected", [("", "abc123"),
+                                                 (" M src/coexctl/learner.py\n", "abc123+dirty")])
+def test_code_version_marks_a_tree_with_local_edits(monkeypatch, status_out, expected):
+    def fake_run(cmd, **kwargs):
+        out = {"rev-parse": "abc123\n", "status": status_out}[cmd[1]]
+        return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert code_version() == expected

@@ -1,10 +1,15 @@
 """Q-learner: reward assembly, action selection, TD targets, gradients, buffer."""
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from coexctl import learner as learner_mod
 from coexctl.learner import (
     Adam,
     LearnerConfig,
@@ -164,9 +169,7 @@ def test_target_initialized_as_copy_and_sync_idempotent():
     lrn = QLearner(obs_dim=4, n_actions=3, config=tiny_config(), seed=1)
     probe = np.random.default_rng(2).normal(size=(5, 4))
     assert np.allclose(lrn.online.forward(probe), lrn.target.forward(probe))
-    lrn.optimizer.step(
-        lrn.online.parameters(), [np.ones_like(p) for p in lrn.online.parameters()]
-    )
+    lrn.optimizer.step(lrn.online.flat, np.ones_like(lrn.online.flat))
     assert not np.allclose(lrn.online.forward(probe), lrn.target.forward(probe))
     lrn.sync_target()
     a = lrn.target.forward(probe).copy()
@@ -241,12 +244,107 @@ def test_loss_gradient_matches_central_finite_differences():
             assert abs(numeric - ana) / denom <= 1e-4
 
 
+def test_forward_results_survive_later_calls():
+    # hidden activations reuse per-network scratch: what forward returns, and
+    # the activations forward_cached hands to backward, must outlive a forward
+    rng = np.random.default_rng(16)
+    net = MLP([3, 5, 4, 2], rng)
+    x1, x2 = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    out1 = net.forward(x1)
+    kept = out1.copy()
+    q, acts = net.forward_cached(x1)
+    acts_kept = [a.copy() for a in acts]
+    net.forward(x2)
+    assert np.array_equal(out1, kept) and np.array_equal(q, kept)
+    assert all(np.array_equal(a, k) for a, k in zip(acts, acts_kept))
+
+
 def test_adam_moves_against_gradient():
-    p = [np.array([1.0, -2.0])]
+    p = np.array([1.0, -2.0])
     opt = Adam(p, lr=0.1)
     for _ in range(50):
-        opt.step(p, [np.array([1.0, -1.0])])
-    assert p[0][0] < 1.0 and p[0][1] > -2.0
+        opt.step(p, np.array([1.0, -1.0]))
+    assert p[0] < 1.0 and p[1] > -2.0
+
+
+def reference_adam(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-array Adam update, one array at a time, without blocking."""
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        b1c = 1.0 - beta1**t
+        b2c = 1.0 - beta2**t
+        for p, g, m, v in zip(params, grads, ms, vs):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
+
+
+def test_blocked_adam_is_bit_equal_to_per_array_update():
+    # 10*300 + 300*200 + 200*49 + biases = 73,349 parameters: two full
+    # blocks of the flat update and a partial tail, with layers across block edges
+    rng = np.random.default_rng(13)
+    net = MLP([10, 300, 200, 49], rng)
+    assert net.flat.size > 2 * learner_mod._BLOCK
+    assert net.flat.size % learner_mod._BLOCK != 0
+    ref = [p.copy() for p in net.weights + net.biases]
+    grad_steps = [rng.normal(size=net.flat.size) for _ in range(5)]
+    opt = Adam(net.flat, lr=1e-3)
+    for g in grad_steps:
+        net.grad[...] = g
+        opt.step(net.flat, net.grad)
+    per_array = []
+    for g in grad_steps:
+        gw, gb = learner_mod._layer_views(g, net.dims)
+        per_array.append(gw + gb)
+    reference_adam(ref, per_array, lr=1e-3)
+    for got, want in zip(net.weights + net.biases, ref):
+        assert np.array_equal(got, want)
+
+
+def test_initial_weights_are_one_uniform_draw_per_array():
+    # the init fills weights a block of rows at a time; the values must be
+    # those of one draw per array, in layer order
+    net = MLP([10, 300, 400, 49], np.random.default_rng(15))  # 300x400: 3 row blocks
+    rng = np.random.default_rng(15)
+    for w, b in zip(net.weights, net.biases):
+        bound = 1.0 / np.sqrt(w.shape[0])
+        assert np.array_equal(w, rng.uniform(-bound, bound, size=w.shape))
+        assert np.array_equal(b, rng.uniform(-bound, bound, size=b.shape))
+
+
+def assert_views_of_flat(net):
+    for p in net.weights + net.biases:
+        assert np.shares_memory(p, net.flat)
+
+
+def test_parameters_stay_views_of_the_flat_buffer(tmp_path):
+    lrn = QLearner(obs_dim=4, n_actions=3, config=tiny_config(hidden_layers=(8, 6)), seed=1)
+    assert_views_of_flat(lrn.online)
+    assert_views_of_flat(lrn.target)
+    lrn.online.flat += 1.0
+    lrn.sync_target()
+    assert_views_of_flat(lrn.target)
+    assert np.array_equal(lrn.target.flat, lrn.online.flat)
+    assert not np.shares_memory(lrn.target.flat, lrn.online.flat)
+    path = tmp_path / "policy.bin"
+    save_policy(str(path), lrn, meta={})
+    net = load_policy(str(path)).network()
+    assert_views_of_flat(net)
+    assert np.array_equal(net.flat, lrn.online.flat)
+
+
+def test_backward_returns_views_of_the_grad_buffer():
+    rng = np.random.default_rng(14)
+    net = MLP([3, 5, 4, 2], rng)
+    _, acts = net.forward_cached(rng.normal(size=(6, 3)))
+    grads_w, grads_b = net.backward(acts, rng.normal(size=(6, 2)))
+    for g in grads_w + grads_b:
+        assert np.shares_memory(g, net.grad)
+    assert [g.shape for g in grads_w] == [w.shape for w in net.weights]
+    assert [g.shape for g in grads_b] == [b.shape for b in net.biases]
 
 
 # ----------------------------------------------------------------------
@@ -285,4 +383,34 @@ def test_policy_artifact_checksum_detects_corruption(tmp_path):
     blob[-1] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="checksum"):
+        load_policy(str(path))
+
+
+def rewrite_artifact(path, edit_header=lambda h: None, payload_suffix=b""):
+    """Rewrite a saved artifact's header and payload, re-signing the checksum."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + hlen])
+    payload = blob[8 + hlen:] + payload_suffix
+    edit_header(header)
+    header["checksum"] = hashlib.sha256(payload).hexdigest()
+    head = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(blob[:4] + struct.pack("<I", len(head)) + head + payload)
+
+
+def test_load_policy_rejects_trailing_payload_bytes(tmp_path):
+    lrn = QLearner(obs_dim=3, n_actions=2, config=tiny_config(), seed=9)
+    path = tmp_path / "policy.bin"
+    save_policy(str(path), lrn, meta={})
+    rewrite_artifact(path, payload_suffix=b"\0" * 8)
+    with pytest.raises(ValueError, match="payload"):
+        load_policy(str(path))
+
+
+def test_load_policy_rejects_hidden_layers_that_disagree_with_shapes(tmp_path):
+    lrn = QLearner(obs_dim=3, n_actions=2, config=tiny_config(hidden_layers=(4,)), seed=9)
+    path = tmp_path / "policy.bin"
+    save_policy(str(path), lrn, meta={})
+    rewrite_artifact(path, edit_header=lambda h: h.update(hidden_layers=[5]))
+    with pytest.raises(ValueError, match="shapes"):
         load_policy(str(path))
