@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics as met
-from .constraint import augment_state
+from .constraint import DualController, augment_state
 from .medium import (
     ConfigError,
     ContenderConfig,
@@ -152,8 +152,6 @@ class CoexEnv:
         episode_steps: int = EPISODE_STEPS,
         d_th_us: float = D_TH_US,
         actuate_wifi: bool = False,
-        cr_redraw_on_defer: bool = False,
-        lambda_max: float = 5.0,
     ):
         self.preset = preset
         self.space = ActionSpace.for_mode(action_mode)
@@ -162,10 +160,10 @@ class CoexEnv:
         self.episode_steps = episode_steps
         self.d_th_us = d_th_us
         self.actuate_wifi = actuate_wifi
-        self.cr_redraw_on_defer = cr_redraw_on_defer
         self.sim: Optional[Simulator] = None
         self.lam = 0.0
-        self.lambda_max = lambda_max
+        # the observation's lambda normaliser; a rollout sets it from its dual
+        self.lambda_max = DualController.lambda_max
         self._step_count = 0
         self._metrics: Optional[met.StepMetrics] = None
         self._prev_occupied = 0
@@ -204,7 +202,6 @@ class CoexEnv:
                 [replace(c) for c in self.preset.contenders],
                 cr_lbt_enabled=self.cr_lbt,
                 seed=seed,
-                cr_redraw_on_defer=self.cr_redraw_on_defer,
             )
         self._step_count = 0
         self._metrics = met.StepMetrics.initial(range(len(self.sim.nodes)))
@@ -251,8 +248,8 @@ class CoexEnv:
             outcomes,
             self._metrics,
             self.step_duration_us,
+            busy,
             d_th_us=self.d_th_us,
-            busy_us=busy,
             pc1_pending_age_us=pending_age,
         )
         self._step_count += 1

@@ -1,7 +1,8 @@
 """Experiment orchestration: configs, presets, commands, logs, and reports.
 
 File formats, all plain text so diff-based oracles stay trivial:
-  - experiment configs and run manifests: JSON (unknown keys rejected)
+  - experiment configs and run manifests: JSON (unknown keys rejected, so the
+    removed keys total_episodes, actuate_wifi and cr_redraw_on_defer are too)
   - per-step metrics logs and event traces: CSV with a fixed header row
   - evaluation reports: key=value lines, one metric per line
 """
@@ -67,8 +68,6 @@ class ExperimentConfig:
     counts: dict = field(default_factory=lambda: {"gnb_pc1": 1, "gnb_pc3": 1, "ap_pc3": 1})
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     dual: DualConfig = field(default_factory=DualConfig)
-    actuate_wifi: bool = False
-    cr_redraw_on_defer: bool = False
     hard_episode_resets: bool = False
 
     def validate(self) -> None:
@@ -103,9 +102,6 @@ class ExperimentConfig:
             step_duration_us=self.step_duration_us,
             episode_steps=self.episode_steps,
             d_th_us=self.d_th_us,
-            actuate_wifi=self.actuate_wifi,
-            cr_redraw_on_defer=self.cr_redraw_on_defer,
-            lambda_max=self.dual.lambda_max,
         )
 
 

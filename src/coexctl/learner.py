@@ -262,14 +262,13 @@ class LearnerConfig:
     batch_size: int = 256
     hidden_layers: tuple = (1024, 1024, 1024)
     target_sync_interval: int = 1000
-    total_episodes: int = 10_000
 
     def validate(self) -> None:
         if not (0 < self.gamma <= 1 and self.buffer_capacity > 0 and self.batch_size > 0):
             raise ValueError("invalid learner config")
         if not (0 <= self.epsilon_end <= self.epsilon_start <= 1):
             raise ValueError("epsilon range must satisfy end <= start within [0, 1]")
-        if self.learning_rate <= 0 or self.target_sync_interval < 1 or self.total_episodes < 1:
+        if self.learning_rate <= 0 or self.target_sync_interval < 1:
             raise ValueError("invalid learner config")
 
 
@@ -457,6 +456,8 @@ def _rollout(
     0. Returns the step log and the per-node counters after the first reset.
     """
     total_steps = episodes * env.episode_steps
+    if dual is not None:
+        env.lambda_max = dual.lambda_max
     # without a dual the pipeline is still logged, at the default kappa
     kappa = dual.kappa if dual is not None else DualController.kappa
     log: list[StepLog] = []
@@ -515,7 +516,8 @@ def run_training(
     config: LearnerConfig,
     seed: int,
     scaling: bool = True,
-    episodes: Optional[int] = None,
+    *,
+    episodes: int,
     log_hook: Optional[Callable[[StepLog], None]] = None,
     hard_episode_resets: bool = False,
 ) -> TrainResult:
@@ -526,9 +528,7 @@ def run_training(
     updating every dual.update_period steps so training matches execution
     dynamics. log_hook sees each step's log entry after its gradient step.
     """
-    episodes = episodes if episodes is not None else config.total_episodes
     learner = QLearner(env.observation_dim, env.n_actions, config, seed=seed)
-    env.lambda_max = dual.lambda_max
     log, _ = _rollout(env, dual, episodes, seed, scaling, learner.act, learner=learner,
                       hard_episode_resets=hard_episode_resets, log_hook=log_hook)
     return TrainResult(learner=learner, log=log)

@@ -68,7 +68,6 @@ class MediumParams:
     sifs_us: int = SIFS_US
     nru_slot_boundary_us: int = NRU_SLOT_BOUNDARY_US
     frame_tx_us: Optional[int] = None
-    rs_allowed: bool = True
     cr_slot_us: int = CR_SLOT_US
     cr_slot_count: int = 27
     # When True the reservation hold blocks other contenders' countdowns
@@ -165,9 +164,6 @@ class NodeStats:
     pulse_us: int = 0
     delay_sum_us: int = 0
 
-    def copy(self) -> "NodeStats":
-        return replace(self)
-
     def since(self, start: "NodeStats") -> "NodeStats":
         """Counters accumulated after the snapshot start (a window diff)."""
         return NodeStats(*(getattr(self, f.name) - getattr(start, f.name) for f in fields(self)))
@@ -255,7 +251,8 @@ def on_success(node: NodeState, end_us: int, rng: np.random.Generator) -> NodeSt
     return node
 
 
-# Event ordering at equal timestamps: frees before fires before accesses before
+# Event kinds; a heap entry is (t, kind, seq, payload), so at equal
+# timestamps the kind sets the order: frees before fires before accesses before
 # pulse starts, so a frame ending exactly at a boundary does not collide with
 # the transmission starting there. Listen checks run after all simultaneous
 # pulse ends so that in-phase pulses (whose intervals no longer overlap any
@@ -302,7 +299,7 @@ class Simulator:
                 node.backoff = draw_backoff(self.rng, node.cw_current)
                 self.nodes.append(node)
 
-        self._heap: list[tuple[int, int, int, int, tuple]] = []
+        self._heap: list[tuple[int, int, int, tuple]] = []
         self._seq = 0
         self._blocking = 0
         self._busy_since = 0
@@ -314,6 +311,14 @@ class Simulator:
         self._outcomes: list[TxOutcome] = []
         self._harvested = 0
         self._commit_counter = 0
+        self._handlers = {
+            _EV_TX_END: self._ev_tx_end,
+            _EV_PULSE_END: self._ev_pulse_end,
+            _EV_LISTEN_CHECK: self._ev_listen_check,
+            _EV_FIRE: self._ev_fire,
+            _EV_ACCESS: self._ev_access,
+            _EV_PULSE_START: self._ev_pulse_start,
+        }
 
         # Channel idle at t=0: anchor everyone.
         self._on_idle(0)
@@ -326,10 +331,11 @@ class Simulator:
         if duration_us <= 0:
             raise ValueError("duration_us must be > 0")
         target = self.clock + duration_us
-        while self._heap and self._heap[0][0] <= target:
-            t, _, _, kind, payload = heapq.heappop(self._heap)
+        heap, handlers = self._heap, self._handlers
+        while heap and heap[0][0] <= target:
+            t, kind, _, payload = heapq.heappop(heap)
             self.clock = t
-            self._dispatch(t, kind, payload)
+            handlers[kind](t, *payload)
         self.clock = target
         out = self._outcomes[self._harvested:]
         self._harvested = len(self._outcomes)
@@ -364,7 +370,7 @@ class Simulator:
         return total
 
     def stats_snapshot(self) -> list[NodeStats]:
-        return [n.stats.copy() for n in self.nodes]
+        return [replace(n.stats) for n in self.nodes]
 
     def node_names(self) -> list[str]:
         return [n.name for n in self.nodes]
@@ -372,23 +378,14 @@ class Simulator:
     # ------------------------------------------------------------------
     # event machinery
 
-    def _push(self, t: int, order: int, kind: int, payload: tuple) -> None:
+    def _push(self, t: int, kind: int, payload: tuple) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (t, order, self._seq, kind, payload))
+        heapq.heappush(self._heap, (t, kind, self._seq, payload))
 
-    def _dispatch(self, t: int, kind: int, payload: tuple) -> None:
-        if kind == _EV_ACCESS:
-            self._ev_access(t, *payload)
-        elif kind == _EV_TX_END:
-            self._ev_tx_end(t, *payload)
-        elif kind == _EV_FIRE:
-            self._ev_fire(t, *payload)
-        elif kind == _EV_PULSE_START:
-            self._ev_pulse_start(t, *payload)
-        elif kind == _EV_PULSE_END:
-            self._ev_pulse_end(t, *payload)
-        elif kind == _EV_LISTEN_CHECK:
-            self._ev_listen_check(t, *payload)
+    def _emit(self, node: NodeState, kind: TxKind, start: int, end: int,
+              delay: Optional[int] = None) -> None:
+        self._outcomes.append(TxOutcome(node.idx, node.cfg.tech, node.cfg.pclass, kind,
+                                        start, end, delay))
 
     # -- occupancy / blocking bookkeeping
 
@@ -446,7 +443,7 @@ class Simulator:
             node.pending_at = (
                 t + node.aifs_us(self.medium) + self.medium.obs_slot_us * node.backoff
             )
-            self._push(node.pending_at, _EV_ACCESS, _EV_ACCESS, (node.idx, node.version))
+            self._push(node.pending_at, _EV_ACCESS, (node.idx, node.version))
 
     # -- node events
 
@@ -477,7 +474,7 @@ class Simulator:
         node.state = _COMMITTED
         if boundary not in self._fires:
             self._fires[boundary] = []
-            self._push(boundary, _EV_FIRE, _EV_FIRE, (boundary,))
+            self._push(boundary, _EV_FIRE, (boundary,))
         self._fires[boundary].append(node)
         if cr:
             gap = boundary - t
@@ -485,16 +482,12 @@ class Simulator:
             half = self.medium.cr_slot_us // 2
             for m in range(commit.n_pulses):
                 s = t + m * self.medium.cr_slot_us
-                self._push(s, _EV_PULSE_START, _EV_PULSE_START, (node.idx, commit.cid))
-                self._push(s + half, _EV_PULSE_END, _EV_PULSE_END, (node.idx, commit.cid))
-        elif self.medium.rs_allowed:
-            # reservation hold: occupies (accounting); blocks sensing only in
-            # the rs_blocks_medium variant. rs_allowed=False is a pure silent
-            # gap with no reservation accounting at all.
-            if self.medium.rs_blocks_medium:
-                self._blocking_start(t, node)
-            else:
-                self._occ_start(t)
+                self._push(s, _EV_PULSE_START, (node.idx, commit.cid))
+                self._push(s + half, _EV_PULSE_END, (node.idx, commit.cid))
+        elif self.medium.rs_blocks_medium:
+            self._blocking_start(t, node)  # reservation hold that blocks sensing
+        else:
+            self._occ_start(t)  # reservation hold: occupancy accounting only
 
     def _ev_pulse_start(self, t: int, idx: int, cid: int) -> None:
         node = self.nodes[idx]
@@ -510,20 +503,11 @@ class Simulator:
             return
         half = self.medium.cr_slot_us // 2
         self._blocking_end(t)
-        self._outcomes.append(
-            TxOutcome(
-                node=node.idx,
-                tech=node.cfg.tech,
-                pclass=node.cfg.pclass,
-                kind=TxKind.CR_PULSE,
-                start_us=t - half,
-                end_us=t,
-            )
-        )
+        self._emit(node, TxKind.CR_PULSE, t - half, t)
         node.stats.pulse_us += half
         # own listen interval starts now; the persisting-energy check runs
         # after every simultaneous pulse end has been processed
-        self._push(t, _EV_LISTEN_CHECK, _EV_LISTEN_CHECK, (node.idx, cid))
+        self._push(t, _EV_LISTEN_CHECK, (node.idx, cid))
 
     def _ev_listen_check(self, t: int, idx: int, cid: int) -> None:
         node = self.nodes[idx]
@@ -560,22 +544,13 @@ class Simulator:
             c = node.commit
             if c is None or c.aborted:
                 continue
-            if not c.cr and self.medium.rs_allowed:
+            if not c.cr:
                 if self.medium.rs_blocks_medium:
                     self._blocking_end(t)
                 else:
                     self._occ_end(t)
                 if t > c.t0:
-                    self._outcomes.append(
-                        TxOutcome(
-                            node=node.idx,
-                            tech=node.cfg.tech,
-                            pclass=node.cfg.pclass,
-                            kind=TxKind.RS,
-                            start_us=c.t0,
-                            end_us=t,
-                        )
-                    )
+                    self._emit(node, TxKind.RS, c.t0, t)
                 node.stats.reserve_us += t - c.t0
             node.commit = None
             self._start_tx(node, t)
@@ -594,7 +569,7 @@ class Simulator:
         self._active_tx.append(tx)
         node.state = _TX
         self._blocking_start(t, node)
-        self._push(t + dur, _EV_TX_END, _EV_TX_END, (node.idx, t))
+        self._push(t + dur, _EV_TX_END, (node.idx, t))
 
     def _ev_tx_end(self, t: int, idx: int, start: int) -> None:
         node = self.nodes[idx]
@@ -604,33 +579,14 @@ class Simulator:
         if tx.collided:
             node.stats.collisions += 1
             node.stats.collision_air_us += dur
-            self._outcomes.append(
-                TxOutcome(
-                    node=node.idx,
-                    tech=node.cfg.tech,
-                    pclass=node.cfg.pclass,
-                    kind=TxKind.COLLISION,
-                    start_us=tx.start,
-                    end_us=t,
-                )
-            )
+            self._emit(node, TxKind.COLLISION, tx.start, t)
             on_collision(node, self.rng)
         else:
             delay = tx.start - node.hol_since_us
             node.stats.successes += 1
             node.stats.success_air_us += dur
             node.stats.delay_sum_us += delay
-            self._outcomes.append(
-                TxOutcome(
-                    node=node.idx,
-                    tech=node.cfg.tech,
-                    pclass=node.cfg.pclass,
-                    kind=TxKind.SUCCESS,
-                    start_us=tx.start,
-                    end_us=t,
-                    access_delay_us=delay,
-                )
-            )
+            self._emit(node, TxKind.SUCCESS, tx.start, t, delay)
             on_success(node, t, self.rng)
         node.state = _DEFER
         self._blocking_end(t)

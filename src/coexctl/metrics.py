@@ -12,7 +12,7 @@ constraint signal relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,41 +84,18 @@ class StepMetrics:
         )
 
 
-def _union_busy_us(outcomes: Sequence[TxOutcome], window_start: int, window_end: int) -> int:
-    """Union of outcome intervals clipped to the window (trace-only fallback)."""
-    spans = sorted(
-        (max(o.start_us, window_start), min(o.end_us, window_end))
-        for o in outcomes
-        if o.end_us > window_start and o.start_us < window_end
-    )
-    busy = 0
-    cur_s = cur_e = None
-    for s, e in spans:
-        if cur_e is None or s > cur_e:
-            if cur_e is not None:
-                busy += cur_e - cur_s
-            cur_s, cur_e = s, e
-        else:
-            cur_e = max(cur_e, e)
-    if cur_e is not None:
-        busy += cur_e - cur_s
-    return busy
-
-
 def step_metrics(
     outcomes: Sequence[TxOutcome],
     prev: StepMetrics,
     window_us: int,
+    busy_us: int,
     d_th_us: float = 2000.0,
-    busy_us: Optional[int] = None,
-    window_start_us: Optional[int] = None,
     pc1_pending_age_us: float = 0.0,
 ) -> StepMetrics:
     """Aggregate one window's outcomes into the next StepMetrics.
 
-    busy_us, when provided by the simulator's occupancy integrator, accounts
-    for frames still in flight at the window edges; otherwise the union of the
-    given outcome intervals is used (adequate for scripted traces).
+    busy_us is the channel occupancy inside the window, from the simulator's
+    occupancy integrator, so frames still in flight at the window edges count.
 
     pc1_pending_age_us is the age of the oldest undelivered PC1 head-of-line
     frame at the window edge. A window without PC1 completions carries the
@@ -176,9 +153,6 @@ def step_metrics(
     airtimes = [success_air[i] for i in node_ids]
     jfi = jain_index(airtimes) if any(airtimes) else 1.0 / len(node_ids)
 
-    if busy_us is None:
-        start = window_start_us if window_start_us is not None else 0
-        busy_us = _union_busy_us(outcomes, start, start + window_us)
     util = min(busy_us / window_us, 1.0)
 
     violated = 1.0 if delay_smooth > d_th_us else 0.0

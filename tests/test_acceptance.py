@@ -335,7 +335,7 @@ def test_criterion_6_learner_oracles():
 
 DESK = LearnerConfig(
     hidden_layers=(128, 128), batch_size=64, buffer_capacity=50_000,
-    learning_rate=5e-4, target_sync_interval=250, total_episodes=500,
+    learning_rate=5e-4, target_sync_interval=250,
 )
 TRAIN_SEED = 0
 EVAL_SEED = 1000
@@ -392,7 +392,7 @@ def test_criterion_9_manifest_determinism(tmp_path):
             episodes=3, eval_episodes=3, seed=17, out_dir=str(tmp_path / label),
             learner=LearnerConfig(
                 hidden_layers=(32, 32), batch_size=32, buffer_capacity=2000,
-                learning_rate=1e-3, target_sync_interval=200, total_episodes=3,
+                learning_rate=1e-3, target_sync_interval=200,
             ),
         )
         _, log = cmd_train(cfg)

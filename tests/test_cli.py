@@ -14,7 +14,7 @@ def write_cfg(tmp_path, **over):
         "out_dir": str(tmp_path / "out"),
         "learner": {
             "hidden_layers": [16], "batch_size": 16, "buffer_capacity": 500,
-            "learning_rate": 1e-3, "target_sync_interval": 100, "total_episodes": 1,
+            "learning_rate": 1e-3, "target_sync_interval": 100,
         },
     }
     cfg.update(over)

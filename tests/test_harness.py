@@ -1,5 +1,7 @@
 """Harness: config loading, commands, logs, reports, comparison, traces."""
 
+import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -36,7 +38,7 @@ def smoke_config(tmp_path, **overrides) -> ExperimentConfig:
         out_dir=str(tmp_path / "run"),
         learner=LearnerConfig(
             hidden_layers=(16, 16), batch_size=16, buffer_capacity=1000,
-            learning_rate=1e-3, target_sync_interval=100, total_episodes=2,
+            learning_rate=1e-3, target_sync_interval=100,
         ),
     )
     for k, v in overrides.items():
@@ -63,6 +65,17 @@ def test_full_scale_defaults_preset_loads():
     assert cfg.episodes == 10_000
     assert cfg.episode_steps == 100
     assert cfg.step_duration_us == 2500
+
+
+@pytest.mark.parametrize(
+    "path", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))), ids=os.path.basename
+)
+def test_bundled_config_loads_and_builds(path):
+    cfg = load_config(path)
+    env = cfg.build_env()
+    dual = cfg.dual.controller()
+    assert dual.lambda_max == cfg.dual.lambda_max
+    assert env.reset(seed=cfg.seed).shape == (env.observation_dim,)
 
 
 def test_unknown_key_rejected_by_name(tmp_path):
@@ -368,6 +381,18 @@ def test_nearest_rank_percentile():
     assert nearest_rank_percentile([1.0, 2.0], 50.0) == 1.0
     with pytest.raises(ValueError):
         nearest_rank_percentile([], 95.0)
+
+
+# The trace is integers only, so these digests do not depend on the BLAS build.
+@pytest.mark.parametrize("seed,cr_lbt,digest", [
+    (3, False, "14d882653cedad5f571faa9b7080499b3f66e78aaf6d45dc9d84fe1ff59d00d1"),
+    (5, True, "05c93452d719ec193b10e67b95b041da7fc4961426aa6ac8d218b0c9e291d70e"),
+])
+def test_trace_event_stream_is_pinned(tmp_path, seed, cr_lbt, digest):
+    out = tmp_path / "trace.csv"
+    cmd_trace(ExperimentConfig(seed=seed, cr_lbt=cr_lbt), duration_us=1_000_000,
+              out_path=str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_trace_export_schema(tmp_path):

@@ -28,7 +28,7 @@ from coexctl.learner import (
 
 def tiny_config(**kw):
     base = dict(hidden_layers=(8,), batch_size=4, buffer_capacity=64,
-                learning_rate=1e-2, target_sync_interval=1000, total_episodes=10)
+                learning_rate=1e-2, target_sync_interval=1000)
     base.update(kw)
     return LearnerConfig(**base)
 
@@ -373,6 +373,28 @@ def test_training_with_lambda_max_zero_is_unconstrained():
                        seed=2, scaling=True, episodes=2)
     assert all(row.lam == 0.0 for row in res.log)
     assert all(row.reward == row.jfi for row in res.log)
+
+
+def test_greedy_rollout_normalises_lambda_by_the_duals_lambda_max():
+    from coexctl.constraint import DualController
+    from coexctl.env import CoexEnv, coex_mix_preset
+    from coexctl.learner import greedy_rollout
+
+    env = CoexEnv(coex_mix_preset(), action_mode="cw")
+    net = MLP([env.observation_dim, 16, env.n_actions], np.random.default_rng(0))
+    dual = DualController(lambda_max=8.0, eta_lambda=0.5)
+    seen = []  # (last observation feature, lambda) at each policy call
+    forward = net.forward
+
+    def spy(x):
+        seen.append((float(np.asarray(x).reshape(-1)[-1]), dual.lam))
+        return forward(x)
+
+    net.forward = spy
+    rollout = greedy_rollout(env, net, dual, episodes=5, seed=0)
+    assert len(rollout.log) == len(seen) == 5 * env.episode_steps
+    assert max(lam for _, lam in seen) == 8.0
+    assert all(feat == lam / 8.0 for feat, lam in seen)
 
 
 def test_policy_artifact_checksum_detects_corruption(tmp_path):
