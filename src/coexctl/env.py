@@ -161,6 +161,8 @@ class CoexEnv:
         self.d_th_us = d_th_us
         self.actuate_wifi = actuate_wifi
         self.sim: Optional[Simulator] = None
+        # the action index last applied to self.sim; None on a fresh simulator
+        self._applied: Optional[int] = None
         self.lam = 0.0
         # the observation's lambda normaliser; a rollout sets it from its dual
         self.lambda_max = DualController.lambda_max
@@ -203,6 +205,7 @@ class CoexEnv:
                 cr_lbt_enabled=self.cr_lbt,
                 seed=seed,
             )
+            self._applied = None
         self._step_count = 0
         self._metrics = met.StepMetrics.initial(range(len(self.sim.nodes)))
         self._prev_occupied = self.sim.occupied_us_at()
@@ -214,6 +217,9 @@ class CoexEnv:
         return augment_state(base, self.lam, self.lambda_max)
 
     def _apply_action(self, index: int) -> None:
+        # applying an assignment twice changes nothing, so a repeat is skipped
+        if index == self._applied:
+            return
         per_class = decode_action(index, self.space)
         assignment = {}
         for pclass, params in per_class.items():
@@ -221,6 +227,7 @@ class CoexEnv:
             if self.actuate_wifi:
                 assignment[(Tech.WIFI, pclass)] = params
         self.sim.apply_mac_params(assignment)
+        self._applied = index
 
     def step(self, action: Optional[int]) -> StepResult:
         """One control step; action None leaves the current MAC parameters

@@ -84,13 +84,8 @@ class MLP:
     """
 
     def __init__(self, dims: list[int], rng: np.random.Generator):
-        self.dims = list(dims)
-        n = sum(int(np.prod(shape)) for shape in param_shapes(self.dims))
-        self.flat = np.empty(n)
-        self.grad = np.zeros(n)
-        self.weights, self.biases = _layer_views(self.flat, self.dims)
-        self._grads_w, self._grads_b = _layer_views(self.grad, self.dims)
-        self._scratch: dict[str, list[np.ndarray]] = {}
+        n = sum(int(np.prod(shape)) for shape in param_shapes(dims))
+        self._adopt(dims, np.empty(n))
         for w, b in zip(self.weights, self.biases):
             bound = 1.0 / np.sqrt(w.shape[0])
             # drawn a block of rows at a time, the same stream as one draw,
@@ -98,6 +93,22 @@ class MLP:
             for rows in np.array_split(w, max(1, w.size // _BLOCK)):
                 rows[...] = rng.uniform(-bound, bound, size=rows.shape)
             b[...] = rng.uniform(-bound, bound, size=b.shape)
+
+    @classmethod
+    def over(cls, dims: list[int], flat: np.ndarray) -> "MLP":
+        """A network whose parameter buffer is flat itself (laid out as
+        param_shapes(dims)), with no initialisation drawn."""
+        net = cls.__new__(cls)
+        net._adopt(dims, flat)
+        return net
+
+    def _adopt(self, dims: list[int], flat: np.ndarray) -> None:
+        self.dims = list(dims)
+        self.flat = flat
+        self.grad = np.zeros(flat.size)  # calloc'd: pages a network never trains stay untouched
+        self.weights, self.biases = _layer_views(self.flat, self.dims)
+        self._grads_w, self._grads_b = _layer_views(self.grad, self.dims)
+        self._scratch: dict[str, list[np.ndarray]] = {}
 
     def _hidden(self, kind: str, rows: int, dtype=np.float64) -> list[np.ndarray]:
         """One (rows, width) scratch array per hidden layer, kept per kind for the
@@ -353,15 +364,21 @@ class PolicyArtifact:
     obs_dim: int
     n_actions: int
     hidden_layers: tuple
-    arrays: list
+    flat: np.ndarray  # the payload, laid out as param_shapes(dims)
     meta: dict
 
+    @property
+    def dims(self) -> list[int]:
+        return [self.obs_dim, *self.hidden_layers, self.n_actions]
+
+    @property
+    def arrays(self) -> list[np.ndarray]:
+        """Per-layer weights, then biases: views of flat."""
+        weights, biases = _layer_views(self.flat, self.dims)
+        return weights + biases
+
     def network(self) -> MLP:
-        dims = [self.obs_dim, *self.hidden_layers, self.n_actions]
-        net = MLP(dims, np.random.default_rng(0))
-        for dst, src in zip(net.weights + net.biases, self.arrays):
-            np.copyto(dst, src)
-        return net
+        return MLP.over(self.dims, self.flat.copy())
 
 
 def load_policy(path: str) -> PolicyArtifact:
@@ -385,12 +402,11 @@ def load_policy(path: str) -> PolicyArtifact:
         raise ValueError(f"artifact payload is not the {8 * size} bytes its shapes imply")
     if hashlib.sha256(flat).hexdigest() != header["checksum"]:
         raise ValueError("artifact payload checksum mismatch")
-    weights, biases = _layer_views(flat, dims)
     return PolicyArtifact(
         obs_dim=header["obs_dim"],
         n_actions=header["n_actions"],
         hidden_layers=tuple(header["hidden_layers"]),
-        arrays=weights + biases,
+        flat=flat,
         meta=header.get("meta", {}),
     )
 

@@ -182,7 +182,7 @@ class NodeStats:
 
 # Node life cycle states.
 _DEFER = 0     # waiting for the channel to go idle
-_PENDING = 1   # access event scheduled (AIFS + countdown in progress)
+_PENDING = 1   # AIFS + countdown in progress, due at pending_at
 _COMMITTED = 2 # NR-U gap hold / CR phase, fire at boundary
 _TX = 3        # data frame in flight
 
@@ -208,9 +208,9 @@ class NodeState:
     backoff: int = 0
     hol_since_us: int = 0
     state: int = _DEFER
-    version: int = 0
     anchor: int = 0
     pending_at: int = 0
+    aifs: int = 0  # aifs_us() of the current cfg, cached by the Simulator
     commit: Optional[_Commit] = None
     stats: NodeStats = field(default_factory=NodeStats)
 
@@ -311,6 +311,12 @@ class Simulator:
         self._outcomes: list[TxOutcome] = []
         self._harvested = 0
         self._commit_counter = 0
+        # one access timer: a heap entry at the earliest pending_at, live while
+        # its generation is the current one
+        self._access_gen = 0
+        self._access_at = 0
+        self._idle_at = 0
+        self._cache_aifs()
         self._handlers = {
             _EV_TX_END: self._ev_tx_end,
             _EV_PULSE_END: self._ev_pulse_end,
@@ -360,6 +366,7 @@ class Simulator:
             staged.append((node, new_cfg))
         for node, new_cfg in staged:
             node.cfg = new_cfg
+        self._cache_aifs()
 
     def occupied_us_at(self, t: Optional[int] = None) -> int:
         """Cumulative channel occupancy (data + holds + pulses) up to time t."""
@@ -377,6 +384,11 @@ class Simulator:
 
     # ------------------------------------------------------------------
     # event machinery
+
+    def _cache_aifs(self) -> None:
+        for node in self.nodes:
+            node.aifs = node.aifs_us(self.medium)
+        self._min_aifs = min(node.aifs for node in self.nodes)
 
     def _push(self, t: int, kind: int, payload: tuple) -> None:
         self._seq += 1
@@ -420,37 +432,65 @@ class Simulator:
             self._on_idle(t)
 
     def _freeze_pending(self, t: int) -> None:
+        if t - self._idle_at < self._min_aifs and t < self._access_at:
+            # Busy again sooner than the smallest AIFS after going idle (every
+            # CR listen half): no slot was consumed, so the countdowns stay as
+            # they are and _on_idle re-anchors them; only the timer is dropped.
+            # The timer test sends a countdown ending now, which an AIFS raised
+            # mid-countdown allows, down the path below so that it fires.
+            self._access_gen += 1
+            return
         for node in self.nodes:
             if node.state != _PENDING or node.pending_at <= t:
                 # an access at exactly t completed its last slot; let it fire
                 continue
-            aifs = node.aifs_us(self.medium)
-            elapsed = t - node.anchor - aifs
+            elapsed = t - node.anchor - node.aifs
             consumed = 0
             if elapsed > 0:
                 consumed = min(elapsed // self.medium.obs_slot_us, node.backoff)
             node.backoff -= consumed
-            node.version += 1
             node.state = _DEFER
 
     def _on_idle(self, t: int) -> None:
+        self._idle_at = t
+        slot = self.medium.obs_slot_us
         for node in self.nodes:
-            if node.state != _DEFER:
+            if node.state > _PENDING:  # committed or transmitting
                 continue
             node.anchor = t
-            node.version += 1
             node.state = _PENDING
-            node.pending_at = (
-                t + node.aifs_us(self.medium) + self.medium.obs_slot_us * node.backoff
-            )
-            self._push(node.pending_at, _EV_ACCESS, (node.idx, node.version))
+            node.pending_at = t + node.aifs + slot * node.backoff
+        self._arm_access()
+
+    def _arm_access(self) -> None:
+        """Point the access timer at the earliest pending countdown, if any."""
+        due = [node.pending_at for node in self.nodes if node.state == _PENDING]
+        if due:
+            self._access_gen += 1
+            self._access_at = min(due)
+            self._push(self._access_at, _EV_ACCESS, (self._access_gen,))
 
     # -- node events
 
-    def _ev_access(self, t: int, idx: int, version: int) -> None:
-        node = self.nodes[idx]
-        if node.state != _PENDING or node.version != version:
+    def _ev_access(self, t: int, gen: int) -> None:
+        """The access timer: every countdown ending at t, in node-index order.
+
+        This is the order one heap entry per node gave. Every pending countdown
+        was anchored at the latest idle transition (a busy start freezes or
+        keeps all of them, and the next idle re-anchors them together), and
+        that transition took the nodes in index order, so equal-time accesses
+        popped in index order by sequence number. Nothing an access schedules
+        lands at t ahead of the remaining accesses: pulse starts sort after
+        them and every other event is later.
+        """
+        if gen != self._access_gen:
             return
+        for node in self.nodes:
+            if node.state == _PENDING and node.pending_at == t:
+                self._access(node, t)
+        self._arm_access()
+
+    def _access(self, node: NodeState, t: int) -> None:
         if self._blocking > 0 and self._busy_since < t:
             # defensive: countdown should have been frozen already
             node.state = _DEFER

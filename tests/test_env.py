@@ -10,7 +10,7 @@ from coexctl.env import (
     single_pc1_preset,
     coex_mix_preset,
 )
-from coexctl.medium import PClass
+from coexctl.medium import PClass, Simulator, Tech
 
 
 # ----------------------------------------------------------------------
@@ -200,3 +200,56 @@ def test_wifi_not_actuated_by_default():
     env2.step(env2.space.encode(0, 0))
     wifi2 = [n for n in env2.sim.nodes if n.cfg.tech.value == "WIFI"][0]
     assert wifi2.cfg.cw_max == 15
+
+
+def test_repeated_action_is_applied_once_and_again_after_a_seeded_reset(monkeypatch):
+    calls = []
+    apply = Simulator.apply_mac_params
+
+    def spy(sim, assignment):
+        calls.append(assignment)
+        apply(sim, assignment)
+
+    monkeypatch.setattr(Simulator, "apply_mac_params", spy)
+    env = CoexEnv(coex_mix_preset(), action_mode="aifsn")
+    env.reset(seed=12)
+    for a in (4, 4, 4, 9, 9, 4, None, 4):
+        env.step(a)
+    assert len(calls) == 3  # 4, 9, 4; the None step and the repeats apply nothing
+    env.reset()  # soft reset: same simulator, parameters still in force
+    env.step(4)
+    assert len(calls) == 3
+    env.reset(seed=12)  # fresh simulator on the preset defaults
+    env.step(4)
+    assert len(calls) == 4
+    assert [n.cfg.aifsn for n in env.sim.nodes if n.cfg.tech == Tech.NRU] == [
+        env.space.pc1_options[0], env.space.pc3_options[4]]
+
+
+@pytest.mark.parametrize("mode", ["cw", "aifsn", "mcot"])
+def test_skipping_repeated_actions_leaves_results_unchanged(mode):
+    # reference: the same parameters applied by hand before every baseline step
+    actions = np.random.default_rng(3).integers(0, 3, size=60)
+    env, ref = (CoexEnv(coex_mix_preset(), action_mode=mode) for _ in range(2))
+    env.reset(seed=13)
+    ref.reset(seed=13)
+    for a in actions:
+        ref.sim.apply_mac_params({(Tech.NRU, pclass): params
+                                  for pclass, params in decode_action(int(a), ref.space).items()})
+        r, want = env.step(int(a)), ref.step(None)
+        assert (r.f0, r.f1) == (want.f0, want.f1)
+        assert np.array_equal(r.observation, want.observation)
+
+
+@pytest.mark.parametrize("mode", ["cw", "aifsn", "mcot"])
+def test_observations_are_finite_and_clipped_under_random_actions(mode):
+    env = CoexEnv(coex_mix_preset(), action_mode=mode)
+    rng = np.random.default_rng(14)
+    obs = [env.reset(seed=14)]
+    for _ in range(3):
+        for _ in range(env.episode_steps):
+            obs.append(env.step(int(rng.integers(env.n_actions))).observation)
+        obs.append(env.reset())
+    obs = np.array(obs[:301])
+    assert np.isfinite(obs).all()
+    assert (np.abs(obs) <= 5.0).all()

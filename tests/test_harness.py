@@ -395,6 +395,14 @@ def test_trace_event_stream_is_pinned(tmp_path, seed, cr_lbt, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# Computed before the single access timer replaced per-node access events.
+def test_dense_cr_trace_event_stream_is_pinned(tmp_path):
+    out = tmp_path / "trace.csv"
+    cfg = ExperimentConfig(seed=7, cr_lbt=True, counts={"gnb_pc1": 2, "gnb_pc3": 3, "ap_pc3": 3})
+    cmd_trace(cfg, duration_us=1_000_000, out_path=str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "beb307fe12e2c5c306324aa0baba05a4d62a37e65842c04cea619076028babdb"
+
+
 def test_trace_export_schema(tmp_path):
     cfg = smoke_config(tmp_path)
     out = str(tmp_path / "trace.csv")

@@ -362,6 +362,24 @@ def test_policy_artifact_roundtrip(tmp_path):
     assert np.array_equal(art.network().forward(probe), lrn.online.forward(probe))
 
 
+def test_artifact_network_adopts_a_copy_of_the_payload_without_drawing(tmp_path, monkeypatch):
+    lrn = QLearner(obs_dim=5, n_actions=4, config=tiny_config(hidden_layers=(8, 6)), seed=9)
+    path = tmp_path / "policy.bin"
+    save_policy(str(path), lrn, meta={})
+    art = load_policy(str(path))
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("network() drew a throwaway initialisation")
+
+    monkeypatch.setattr(MLP, "__init__", no_init)
+    net = art.network()
+    assert net.flat.tobytes() == lrn.online.flat.tobytes()
+    assert_views_of_flat(net)
+    assert not np.shares_memory(net.flat, art.flat)
+    net.flat[:] = 0.0  # the artifact keeps its payload
+    assert art.flat.tobytes() == lrn.online.flat.tobytes()
+
+
 def test_training_with_lambda_max_zero_is_unconstrained():
     from coexctl.constraint import DualController
     from coexctl.env import CoexEnv, coex_mix_preset

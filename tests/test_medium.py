@@ -1,7 +1,10 @@
 """Channel simulator: configuration, backoff, gap behavior, collisions, timing."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from coexctl.medium import (
@@ -492,3 +495,204 @@ def test_cr_redraw_on_defer_switch_changes_dynamics():
         out = sim.run_for(3_000_000)
         traces[redraw] = [(o.node, o.kind, o.start_us) for o in out]
     assert traces[False] != traces[True]
+
+
+# ----------------------------------------------------------------------
+# equal-time event order
+#
+# At one timestamp the event kind sets the order: frame ends, then pulse ends
+# and listen checks, then boundary fires, then accesses, then pulse starts.
+# Each scenario below forces one of those ties with zero-width windows.
+
+
+def nru_then_wifi_448():
+    # NR-U accesses at 25 us and holds to the 500 us boundary; the Wi-Fi node
+    # accesses at 52 us and its 448 us frame ends exactly on that boundary.
+    return [
+        ContenderConfig(Tech.NRU, PClass.PC1, aifsn=1, cw_min=0, cw_max=0, mcot_us=448),
+        ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=4, cw_min=0, cw_max=0, mcot_us=448),
+    ]
+
+
+def test_frame_ending_at_a_boundary_does_not_collide_with_the_frame_starting_there():
+    # the frame end is processed before the boundary fire, so the NR-U frame
+    # starts on a free channel
+    out = Simulator(MediumParams(), nru_then_wifi_448(), seed=0).run_for(990)
+    assert [(o.node, o.kind, o.start_us, o.end_us) for o in out] == [
+        (1, TxKind.SUCCESS, 52, 500),
+        (0, TxKind.RS, 25, 500),
+        (0, TxKind.SUCCESS, 500, 948),
+    ]
+
+
+def test_boundary_fire_starts_before_an_access_due_there():
+    # after the channel frees at 948 us the NR-U node commits to the 1000 us
+    # boundary (at 973 us) and the Wi-Fi access falls due at exactly 1000 us:
+    # both frames start there and collide. The fire runs first, so the NR-U
+    # frame's end event is queued, and its record emitted, first.
+    out = Simulator(MediumParams(), nru_then_wifi_448(), seed=0).run_for(1_460)
+    assert [(o.node, o.kind, o.start_us, o.end_us) for o in out[3:]] == [
+        (0, TxKind.RS, 973, 1000),
+        (0, TxKind.COLLISION, 1000, 1448),
+        (1, TxKind.COLLISION, 1000, 1448),
+    ]
+
+
+def test_accesses_due_at_the_same_microsecond_run_in_node_index_order():
+    # three zero-window contenders fall due together at 43 us (aifsn 3): the
+    # Wi-Fi nodes start at once and the NR-U node between them commits to the
+    # 500 us boundary, where it steps on both frames. The Wi-Fi frames end
+    # together, so their records come out in the order they started.
+    cfg = [
+        ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=3, cw_min=0, cw_max=0, mcot_us=1448),
+        ContenderConfig(Tech.NRU, PClass.PC3, aifsn=3, cw_min=0, cw_max=0, mcot_us=1448),
+        ContenderConfig(Tech.WIFI, PClass.PC1, aifsn=3, cw_min=0, cw_max=0, mcot_us=1448),
+    ]
+    out = Simulator(MediumParams(), cfg, seed=0).run_for(1_960)
+    assert [(o.node, o.kind, o.start_us, o.end_us) for o in out] == [
+        (1, TxKind.RS, 43, 500),
+        (0, TxKind.COLLISION, 43, 1491),
+        (2, TxKind.COLLISION, 43, 1491),
+        (1, TxKind.COLLISION, 500, 1948),
+    ]
+
+
+def test_accesses_due_together_under_cr_lbt_pulse_in_phase_and_collide():
+    # both NR-U nodes fall due at 34 us and commit in index order; their pulse
+    # trains are in phase, neither hears the other, and both fire at 500 us
+    cfg = [
+        ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
+        ContenderConfig(Tech.NRU, PClass.PC3, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
+    ]
+    out = Simulator(MediumParams(), cfg, cr_lbt_enabled=True, seed=0).run_for(2_600)
+    pulses = [o for o in out if o.kind == TxKind.CR_PULSE]
+    assert [(o.node, o.start_us) for o in pulses[:4]] == [(0, 34), (1, 34), (0, 52), (1, 52)]
+    assert [(o.node, o.kind, o.start_us) for o in data_outcomes(out)] == [
+        (0, TxKind.COLLISION, 500), (1, TxKind.COLLISION, 500),
+    ]
+
+
+def test_countdown_due_at_a_busy_start_fires_after_a_raised_aifs():
+    # The channel frees at 966 us; the NR-U node commits at 991 us to the
+    # 1000 us boundary and the Wi-Fi countdown (AIFS 34 us) ends at 1000 us.
+    # Raising every AIFSN to 5 (AIFS 61 us) at 967 us does not move a
+    # countdown already running, so both frames start at 1000 us and collide,
+    # although the channel turns busy only 34 us after going idle.
+    cfg = [
+        ContenderConfig(Tech.NRU, PClass.PC1, aifsn=1, cw_min=0, cw_max=0, mcot_us=466),
+        ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=2, cw_min=0, cw_max=0, mcot_us=441),
+    ]
+    sim = Simulator(MediumParams(), cfg, seed=0)
+    assert [(o.node, o.kind, o.end_us) for o in sim.run_for(967)][-1] == (0, TxKind.SUCCESS, 966)
+    sim.apply_mac_params({(tech, pclass): {"aifsn": 5} for tech in Tech for pclass in PClass})
+    out = sim.run_for(1_500)
+    assert [(o.node, o.kind, o.start_us) for o in data_outcomes(out)][:2] == [
+        (1, TxKind.COLLISION, 1000), (0, TxKind.COLLISION, 1000),
+    ]
+
+
+def dense_cr_contenders():
+    return [
+        ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=7, cw_max=15, mcot_us=2000, count=2),
+        ContenderConfig(Tech.NRU, PClass.PC3, aifsn=3, cw_min=127, cw_max=255, mcot_us=4000,
+                        count=3),
+        ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=3, cw_min=127, cw_max=255, mcot_us=4000,
+                        count=3),
+    ]
+
+
+# Computed before the single access timer replaced per-node access events.
+@pytest.mark.parametrize("cr_lbt,digest", [
+    (False, "0595fb7e3d6d2d2b5455011bfd88398e8d690e59489030e4a89de082af566d0a"),
+    (True, "9c7a622b332ef9849ca52ebbe81b02d30b7b521d2c0e14e815f5a8a960d07231"),
+])
+def test_random_aifsn_windows_outcome_stream_is_pinned(cr_lbt, digest):
+    # 400 control windows of 2.5 ms on the dense 2+3+3 mix, each preceded by a
+    # seeded random AIFSN assignment for every (tech, class)
+    rng = np.random.default_rng(2024)
+    sim = Simulator(MediumParams(), dense_cr_contenders(), cr_lbt_enabled=cr_lbt, seed=17)
+    h = hashlib.sha256()
+    for _ in range(400):
+        sim.apply_mac_params({
+            (Tech.NRU, PClass.PC1): {"aifsn": int(rng.integers(1, 4))},
+            (Tech.NRU, PClass.PC3): {"aifsn": int(rng.integers(1, 8))},
+            (Tech.WIFI, PClass.PC3): {"aifsn": int(rng.integers(1, 8))},
+        })
+        for o in sim.run_for(2_500):
+            h.update(f"{o.node},{o.kind.value},{o.start_us},{o.end_us},{o.access_delay_us}\n"
+                     .encode())
+        h.update(f"{sim.clock},{sim.occupied_us_at()}\n".encode())
+    assert h.hexdigest() == digest
+
+
+# ----------------------------------------------------------------------
+# invariants under random contender mixes and MAC assignments
+
+
+POW2M1 = [0, 1, 3, 7, 15, 31, 63, 127, 255, 1023]
+
+
+@st.composite
+def mac_params(draw):
+    lo, hi = sorted(draw(st.sampled_from(POW2M1)) for _ in range(2))
+    return {"aifsn": draw(st.integers(1, 7)), "cw_min": lo, "cw_max": hi,
+            "mcot_us": draw(st.integers(1, 8)) * 500}
+
+
+KEYS = [(tech, pclass) for tech in Tech for pclass in PClass]
+
+
+@st.composite
+def random_runs(draw):
+    mix = draw(st.lists(st.tuples(st.sampled_from(KEYS), mac_params()), min_size=1, max_size=8))
+    contenders = [ContenderConfig(tech, pclass, **params) for (tech, pclass), params in mix]
+    windows = draw(st.lists(
+        st.dictionaries(st.sampled_from(KEYS), mac_params(), max_size=len(KEYS)),
+        min_size=1, max_size=12))
+    return contenders, windows
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=random_runs(), cr_lbt=st.booleans(), rs_blocks=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_invariants_hold_under_random_mixes_and_assignments(run, cr_lbt, rs_blocks, seed):
+    contenders, windows = run
+    sim = Simulator(MediumParams(rs_blocks_medium=rs_blocks), contenders,
+                    cr_lbt_enabled=cr_lbt, seed=seed)
+    # a node's window bounds hold again once it has drawn from a reset window
+    # after its CW parameters last changed (new values take effect at next draws)
+    settled = [True] * len(sim.nodes)
+    data = []
+    for assignment in windows:
+        for node in sim.nodes:
+            new = assignment.get((node.cfg.tech, node.cfg.pclass))
+            if new and (new["cw_min"], new["cw_max"]) != (node.cfg.cw_min, node.cfg.cw_max):
+                settled[node.idx] = False
+        sim.apply_mac_params(assignment)
+        before = sim.stats_snapshot()
+        out = sim.run_for(2_500)
+        for node, start in zip(sim.nodes, before):
+            delta = node.stats.since(start)
+            mine = [o for o in out if o.node == node.idx]
+            spans = {kind: [o.duration_us for o in mine if o.kind == kind] for kind in TxKind}
+            assert delta.successes == len(spans[TxKind.SUCCESS])
+            assert delta.collisions == len(spans[TxKind.COLLISION])
+            assert delta.success_air_us == sum(spans[TxKind.SUCCESS])
+            assert delta.collision_air_us == sum(spans[TxKind.COLLISION])
+            assert delta.reserve_us == sum(spans[TxKind.RS])
+            assert delta.pulse_us == sum(spans[TxKind.CR_PULSE])
+            assert delta.delay_sum_us == sum(
+                o.access_delay_us for o in mine if o.kind == TxKind.SUCCESS)
+            if spans[TxKind.SUCCESS]:
+                settled[node.idx] = True
+            assert node.stats.success_air_us + node.stats.collision_air_us <= sim.clock
+            assert 0 <= node.backoff <= node.cw_current
+            assert node.hol_since_us <= sim.clock
+            if settled[node.idx]:
+                assert node.cfg.cw_min <= node.cw_current <= node.cfg.cw_max
+        assert 0 <= sim.occupied_us_at() <= sim.clock
+        data.extend(data_outcomes(out))
+    for o in data:
+        if o.kind == TxKind.SUCCESS:
+            assert not any(p is not o and p.start_us < o.end_us and o.start_us < p.end_us
+                           for p in data)
