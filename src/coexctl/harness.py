@@ -2,7 +2,8 @@
 
 File formats, all plain text so diff-based oracles stay trivial:
   - experiment configs and run manifests: JSON (unknown keys rejected, so the
-    removed keys total_episodes, actuate_wifi and cr_redraw_on_defer are too)
+    removed keys total_episodes, actuate_wifi and cr_redraw_on_defer are too,
+    and every value must have the JSON type of its field's default)
   - per-step metrics logs and event traces: CSV with a fixed header row
   - evaluation reports: key=value lines, one metric per line
 """
@@ -13,7 +14,7 @@ import csv
 import json
 import os
 import subprocess
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -113,23 +114,45 @@ class ConfigFileError(ValueError):
 ARTIFACT_CONFIG_KEYS = ("action_mode", "scenario", "counts", "cr_lbt", "scaling", "d_th_us")
 
 
+def _is_int(value, lo: Optional[int] = None) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (lo is None or value >= lo))
+
+
+def _well_typed(value, default) -> bool:
+    """Whether a JSON value fits a field whose default is default."""
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, int):
+        return _is_int(value)
+    if isinstance(default, float):
+        return _is_int(value) or isinstance(value, float)
+    if isinstance(default, tuple):  # hidden_layers
+        return isinstance(value, list) and all(_is_int(v, 1) for v in value)
+    if isinstance(default, dict):  # counts
+        return isinstance(value, dict) and all(_is_int(v, 0) for v in value.values())
+    return isinstance(value, type(default))
+
+
 def _from_dict(cls, data: dict, context: str):
-    fields = {f for f in cls.__dataclass_fields__}
-    unknown = set(data) - fields
+    if not isinstance(data, dict):
+        raise ConfigFileError(f"{context} must be a JSON object, got {data!r}")
+    defaults = {f.name: f.default if f.default is not MISSING else f.default_factory()
+                for f in fields(cls)}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigFileError(f"unknown key {sorted(unknown)[0]!r} in {context}")
-    return cls(**data)
+    for key, value in data.items():
+        if not _well_typed(value, defaults[key]):
+            raise ConfigFileError(f"wrong type or range for {key!r} in {context}: {value!r}")
+    return cls(**{key: tuple(value) if isinstance(value, list) else value
+                  for key, value in data.items()})
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
-    learner = data.pop("learner", {})
-    dual = data.pop("dual", {})
-    if isinstance(learner, dict):
-        if "hidden_layers" in learner:
-            learner["hidden_layers"] = tuple(learner["hidden_layers"])
-        learner = _from_dict(LearnerConfig, learner, "learner")
-    dual = _from_dict(DualConfig, dual, "dual") if isinstance(dual, dict) else dual
+    learner = _from_dict(LearnerConfig, data.pop("learner", {}), "learner")
+    dual = _from_dict(DualConfig, data.pop("dual", {}), "dual")
     cfg = _from_dict(ExperimentConfig, data, "experiment config")
     cfg.learner = learner
     cfg.dual = dual

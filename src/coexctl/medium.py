@@ -18,6 +18,13 @@ intervals aborts the attempt and re-defers without advancing its backoff stage.
 
 Any temporal overlap between data transmissions is a collision for every
 participant. Reservation holds and CR pulses never corrupt data.
+
+A CR listen half is shorter than the smallest AIFS (MediumParams.validate
+refuses timings where it is not), so no countdown ends inside a pulse train:
+nodes that pulse in phase are exactly those that committed at the same
+microsecond, and they share one heap event per pulse edge. Every running
+countdown is served by one access timer kept beside the heap at the earliest
+countdown end.
 """
 
 from __future__ import annotations
@@ -89,6 +96,11 @@ class MediumParams:
             )
         if self.cr_slot_us % 2 != 0:
             raise ConfigError("MediumParams.cr_slot_us must be even (pulse/listen halves)")
+        if self.cr_slot_us // 2 >= self.sifs_us + self.obs_slot_us:
+            raise ConfigError(
+                "MediumParams.cr_slot_us / 2 must be below the smallest AIFS"
+                " (sifs_us + obs_slot_us)"
+            )
 
 
 def _is_pow2m1(v: int) -> bool:
@@ -191,10 +203,7 @@ _TX = 3        # data frame in flight
 class _Commit:
     t0: int
     boundary: int
-    cr: bool
-    cid: int = 0
     n_pulses: int = 0
-    aborted: bool = False
 
 
 @dataclass
@@ -234,11 +243,11 @@ def draw_backoff(rng: np.random.Generator, cw_current: int) -> int:
 
 
 def on_collision(node: NodeState, rng: np.random.Generator) -> NodeState:
-    """Binary exponential backoff: double the window (capped) and redraw.
+    """Binary exponential backoff: double the window within [cw_min, cw_max] and redraw.
 
     The frame is retained; under saturation there is no retry limit.
     """
-    node.cw_current = min(2 * (node.cw_current + 1) - 1, node.cfg.cw_max)
+    node.cw_current = min(max(2 * (node.cw_current + 1) - 1, node.cfg.cw_min), node.cfg.cw_max)
     node.backoff = draw_backoff(rng, node.cw_current)
     return node
 
@@ -251,18 +260,20 @@ def on_success(node: NodeState, end_us: int, rng: np.random.Generator) -> NodeSt
     return node
 
 
-# Event kinds; a heap entry is (t, kind, seq, payload), so at equal
-# timestamps the kind sets the order: frees before fires before accesses before
-# pulse starts, so a frame ending exactly at a boundary does not collide with
-# the transmission starting there. Listen checks run after all simultaneous
-# pulse ends so that in-phase pulses (whose intervals no longer overlap any
-# listen) do not abort each other.
+# Heap event kinds; a heap entry is (t, kind, seq, payload), so at equal
+# timestamps the kind sets the order: frees before pulse ends before fires
+# before pulse starts, so a frame ending exactly at a boundary does not collide
+# with the transmission starting there. The access timer is not a heap entry,
+# but _EV_ACCESS is its rank in this order: after fires, before pulse starts. A
+# pulse end runs its train's listen check only after all of the train's pulses
+# have ended, so in-phase pulses do not abort each other.
 _EV_TX_END = 0
 _EV_PULSE_END = 1
-_EV_LISTEN_CHECK = 2
-_EV_FIRE = 3
-_EV_ACCESS = 4
-_EV_PULSE_START = 5
+_EV_FIRE = 2
+_EV_ACCESS = 3
+_EV_PULSE_START = 4
+
+_NEVER = float("inf")  # access timer value while no countdown is running
 
 
 class Simulator:
@@ -309,20 +320,14 @@ class Simulator:
         self._active_tx: list[_ActiveTx] = []
         self._fires: dict[int, list[NodeState]] = {}
         self._outcomes: list[TxOutcome] = []
-        self._harvested = 0
-        self._commit_counter = 0
-        # one access timer: a heap entry at the earliest pending_at, live while
-        # its generation is the current one
-        self._access_gen = 0
-        self._access_at = 0
+        # the access timer: the earliest pending_at, or _NEVER
+        self._access_at = _NEVER
         self._idle_at = 0
         self._cache_aifs()
         self._handlers = {
             _EV_TX_END: self._ev_tx_end,
             _EV_PULSE_END: self._ev_pulse_end,
-            _EV_LISTEN_CHECK: self._ev_listen_check,
             _EV_FIRE: self._ev_fire,
-            _EV_ACCESS: self._ev_access,
             _EV_PULSE_START: self._ev_pulse_start,
         }
 
@@ -337,17 +342,23 @@ class Simulator:
         if duration_us <= 0:
             raise ValueError("duration_us must be > 0")
         target = self.clock + duration_us
+        out = self._outcomes = []
         heap, handlers = self._heap, self._handlers
-        while heap and heap[0][0] <= target:
-            t, kind, _, payload = heapq.heappop(heap)
-            self.clock = t
-            handlers[kind](t, *payload)
+        while True:
+            # the heap top or the access timer, whichever is first in (t, kind) order
+            t = self._access_at
+            if heap and (heap[0][0] < t or heap[0][0] == t and heap[0][1] < _EV_ACCESS):
+                if heap[0][0] > target:
+                    break
+                t, kind, _, payload = heapq.heappop(heap)
+                self.clock = t
+                handlers[kind](t, *payload)
+            elif t <= target:
+                self.clock = t
+                self._ev_access(t)
+            else:
+                break
         self.clock = target
-        out = self._outcomes[self._harvested:]
-        self._harvested = len(self._outcomes)
-        if self._harvested > 100_000:
-            del self._outcomes[: self._harvested]
-            self._harvested = 0
         return out
 
     def apply_mac_params(self, assignment: dict[tuple[Tech, PClass], dict]) -> None:
@@ -417,12 +428,12 @@ class Simulator:
             self._freeze_pending(t)
         self._blocking += 1
         self._occ_start(t)
+        if not self.cr_lbt_enabled:
+            return
         # Energy appearing inside a committed CR node's listen interval aborts it.
         for node in self.nodes:
-            if node is src or node.state != _COMMITTED:
-                continue
             c = node.commit
-            if c is not None and c.cr and not c.aborted and self._in_listen(c, t):
+            if c is not None and node is not src and self._in_listen(c, t):
                 self._abort_commit(node, t)
 
     def _blocking_end(self, t: int) -> None:
@@ -438,7 +449,7 @@ class Simulator:
             # they are and _on_idle re-anchors them; only the timer is dropped.
             # The timer test sends a countdown ending now, which an AIFS raised
             # mid-countdown allows, down the path below so that it fires.
-            self._access_gen += 1
+            self._access_at = _NEVER
             return
         for node in self.nodes:
             if node.state != _PENDING or node.pending_at <= t:
@@ -464,15 +475,13 @@ class Simulator:
 
     def _arm_access(self) -> None:
         """Point the access timer at the earliest pending countdown, if any."""
-        due = [node.pending_at for node in self.nodes if node.state == _PENDING]
-        if due:
-            self._access_gen += 1
-            self._access_at = min(due)
-            self._push(self._access_at, _EV_ACCESS, (self._access_gen,))
+        self._access_at = min(
+            (node.pending_at for node in self.nodes if node.state == _PENDING), default=_NEVER
+        )
 
     # -- node events
 
-    def _ev_access(self, t: int, gen: int) -> None:
+    def _ev_access(self, t: int) -> None:
         """The access timer: every countdown ending at t, in node-index order.
 
         This is the order one heap entry per node gave. Every pending countdown
@@ -483,8 +492,6 @@ class Simulator:
         lands at t ahead of the remaining accesses: pulse starts sort after
         them and every other event is later.
         """
-        if gen != self._access_gen:
-            return
         for node in self.nodes:
             if node.state == _PENDING and node.pending_at == t:
                 self._access(node, t)
@@ -507,55 +514,50 @@ class Simulator:
             self._commit(node, t, boundary)
 
     def _commit(self, node: NodeState, t: int, boundary: int) -> None:
-        cr = self.cr_lbt_enabled
-        self._commit_counter += 1
-        commit = _Commit(t0=t, boundary=boundary, cr=cr, cid=self._commit_counter)
+        commit = _Commit(t0=t, boundary=boundary)
         node.commit = commit
         node.state = _COMMITTED
         if boundary not in self._fires:
             self._fires[boundary] = []
             self._push(boundary, _EV_FIRE, (boundary,))
         self._fires[boundary].append(node)
-        if cr:
+        if self.cr_lbt_enabled:
             gap = boundary - t
             commit.n_pulses = min(gap // self.medium.cr_slot_us, self.medium.cr_slot_count)
-            half = self.medium.cr_slot_us // 2
-            for m in range(commit.n_pulses):
-                s = t + m * self.medium.cr_slot_us
-                self._push(s, _EV_PULSE_START, (node.idx, commit.cid))
-                self._push(s + half, _EV_PULSE_END, (node.idx, commit.cid))
+            if commit.n_pulses and len(self._train(t)) == 1:
+                self._push(t, _EV_PULSE_START, (t,))  # first member starts the train
         elif self.medium.rs_blocks_medium:
             self._blocking_start(t, node)  # reservation hold that blocks sensing
         else:
             self._occ_start(t)  # reservation hold: occupancy accounting only
 
-    def _ev_pulse_start(self, t: int, idx: int, cid: int) -> None:
-        node = self.nodes[idx]
-        c = node.commit
-        if c is None or c.cid != cid or c.aborted or node.state != _COMMITTED:
-            return
-        self._blocking_start(t, node)
+    def _train(self, t0: int) -> list[NodeState]:
+        """The CR nodes pulsing in phase: live commits made at t0, in index order."""
+        return [node for node in self.nodes if node.commit is not None and node.commit.t0 == t0]
 
-    def _ev_pulse_end(self, t: int, idx: int, cid: int) -> None:
-        node = self.nodes[idx]
-        c = node.commit
-        if c is None or c.cid != cid or node.state != _COMMITTED:
-            return
-        half = self.medium.cr_slot_us // 2
-        self._blocking_end(t)
-        self._emit(node, TxKind.CR_PULSE, t - half, t)
-        node.stats.pulse_us += half
-        # own listen interval starts now; the persisting-energy check runs
-        # after every simultaneous pulse end has been processed
-        self._push(t, _EV_LISTEN_CHECK, (node.idx, cid))
+    def _ev_pulse_start(self, t: int, t0: int) -> None:
+        train = self._train(t0)
+        if not train:
+            return  # all aborted by an out-of-phase train, which only a direct _commit makes
+        for node in train:
+            self._blocking_start(t, node)
+        self._push(t + self.medium.cr_slot_us // 2, _EV_PULSE_END, (t0,))
 
-    def _ev_listen_check(self, t: int, idx: int, cid: int) -> None:
-        node = self.nodes[idx]
-        c = node.commit
-        if c is None or c.cid != cid or c.aborted or node.state != _COMMITTED:
-            return
+    def _ev_pulse_end(self, t: int, t0: int) -> None:
+        train = self._train(t0)
+        slot = self.medium.cr_slot_us
+        half = slot // 2  # the next pulse starts one listen half from now
+        for node in train:
+            self._blocking_end(t)
+            self._emit(node, TxKind.CR_PULSE, t - half, t)
+            node.stats.pulse_us += half
+        # every member's listen interval starts now; energy that persists
+        # after all of the train's pulses have ended aborts them all
         if self._blocking > 0:
-            self._abort_commit(node, t)
+            for node in train:
+                self._abort_commit(node, t)
+        elif t + half < t0 + train[0].commit.n_pulses * slot:
+            self._push(t + half, _EV_PULSE_START, (t0,))
 
     def _in_listen(self, c: _Commit, t: int) -> bool:
         if t < c.t0 or t >= c.boundary:
@@ -568,10 +570,7 @@ class Simulator:
         return True  # remainder of the gap is pure listening
 
     def _abort_commit(self, node: NodeState, t: int) -> None:
-        c = node.commit
-        c.aborted = True
-        if node in self._fires.get(c.boundary, ()):
-            self._fires[c.boundary].remove(node)
+        self._fires[node.commit.boundary].remove(node)
         node.commit = None
         node.state = _DEFER
         if self.cr_redraw_on_defer:
@@ -579,12 +578,9 @@ class Simulator:
         # no BEB advance either way; re-anchors at the next idle transition
 
     def _ev_fire(self, t: int, boundary: int) -> None:
-        nodes = self._fires.pop(boundary, [])
-        for node in nodes:
+        for node in self._fires.pop(boundary):
             c = node.commit
-            if c is None or c.aborted:
-                continue
-            if not c.cr:
+            if not self.cr_lbt_enabled:
                 if self.medium.rs_blocks_medium:
                     self._blocking_end(t)
                 else:
@@ -630,4 +626,3 @@ class Simulator:
             on_success(node, t, self.rng)
         node.state = _DEFER
         self._blocking_end(t)
-

@@ -27,6 +27,7 @@ from coexctl.harness import (
     read_report,
     read_step_log,
 )
+from coexctl.cli import main
 from coexctl.learner import LearnerConfig
 
 
@@ -105,6 +106,21 @@ def test_invalid_value_names_constraint(tmp_path):
     path.write_text(json.dumps({"action_mode": "power"}))
     with pytest.raises(ConfigFileError, match="action_mode"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("data,key", [
+    ({"cr_lbt": "no"}, "cr_lbt"),
+    ({"learner": 5}, "learner"),
+    ({"counts": {"gnb_pc1": "2"}}, "counts"),
+    ({"dual": [1]}, "dual"),
+])
+def test_wrong_typed_value_rejected_by_name(tmp_path, capsys, data, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigFileError, match=key):
+        load_config(str(path))
+    assert main(["baseline", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unparseable_config(tmp_path):

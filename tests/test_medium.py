@@ -145,6 +145,17 @@ def test_beb_ladder_closed_form():
         assert node.cw_current == cw_min
 
 
+def test_collision_after_a_raised_cw_min_floors_the_window_at_it():
+    cfg = [ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000)]
+    sim = Simulator(MediumParams(), cfg, seed=0)
+    sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"cw_min": 3, "cw_max": 3}})
+    node = sim.nodes[0]
+    assert node.cw_current == 0
+    on_collision(node, sim.rng)
+    assert node.cw_current == 3
+    assert 0 <= node.backoff <= 3
+
+
 def test_lone_wifi_inter_success_gap_is_aifs_plus_frame():
     # aifsn=2, cw fixed 0: every inter-success gap = AIFS + frame duration
     cfg = [ContenderConfig(Tech.WIFI, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000)]
@@ -468,6 +479,8 @@ def test_medium_invariants_validated():
         MediumParams(cr_slot_count=100).validate()  # 100 * 18 > 500
     with pytest.raises(ConfigError):
         MediumParams(obs_slot_us=0).validate()
+    with pytest.raises(ConfigError, match="smallest AIFS"):
+        MediumParams(cr_slot_us=50, cr_slot_count=5).validate()  # 25 us listen >= 16 + 9
 
 
 def test_node_state_invariants_hold_throughout_run():
@@ -601,16 +614,11 @@ def dense_cr_contenders():
     ]
 
 
-# Computed before the single access timer replaced per-node access events.
-@pytest.mark.parametrize("cr_lbt,digest", [
-    (False, "0595fb7e3d6d2d2b5455011bfd88398e8d690e59489030e4a89de082af566d0a"),
-    (True, "9c7a622b332ef9849ca52ebbe81b02d30b7b521d2c0e14e815f5a8a960d07231"),
-])
-def test_random_aifsn_windows_outcome_stream_is_pinned(cr_lbt, digest):
+def aifsn_windows_digest(medium, cr_lbt):
     # 400 control windows of 2.5 ms on the dense 2+3+3 mix, each preceded by a
     # seeded random AIFSN assignment for every (tech, class)
     rng = np.random.default_rng(2024)
-    sim = Simulator(MediumParams(), dense_cr_contenders(), cr_lbt_enabled=cr_lbt, seed=17)
+    sim = Simulator(medium, dense_cr_contenders(), cr_lbt_enabled=cr_lbt, seed=17)
     h = hashlib.sha256()
     for _ in range(400):
         sim.apply_mac_params({
@@ -622,7 +630,23 @@ def test_random_aifsn_windows_outcome_stream_is_pinned(cr_lbt, digest):
             h.update(f"{o.node},{o.kind.value},{o.start_us},{o.end_us},{o.access_delay_us}\n"
                      .encode())
         h.update(f"{sim.clock},{sim.occupied_us_at()}\n".encode())
-    assert h.hexdigest() == digest
+    return h.hexdigest()
+
+
+# Computed before the single access timer replaced per-node access events.
+@pytest.mark.parametrize("cr_lbt,digest", [
+    (False, "0595fb7e3d6d2d2b5455011bfd88398e8d690e59489030e4a89de082af566d0a"),
+    (True, "9c7a622b332ef9849ca52ebbe81b02d30b7b521d2c0e14e815f5a8a960d07231"),
+])
+def test_random_aifsn_windows_outcome_stream_is_pinned(cr_lbt, digest):
+    assert aifsn_windows_digest(MediumParams(), cr_lbt) == digest
+
+
+def test_random_aifsn_windows_outcome_stream_is_pinned_at_a_12_us_cr_slot():
+    # computed before in-phase CR pulses shared one event per pulse edge
+    medium = MediumParams(cr_slot_us=12, cr_slot_count=40)
+    assert (aifsn_windows_digest(medium, cr_lbt=True)
+            == "022527b12e52a2674dfd00d2fd95b7bef18830eae8a59034fc83ba6ab8b5a457")
 
 
 # ----------------------------------------------------------------------
@@ -659,7 +683,7 @@ def test_invariants_hold_under_random_mixes_and_assignments(run, cr_lbt, rs_bloc
     contenders, windows = run
     sim = Simulator(MediumParams(rs_blocks_medium=rs_blocks), contenders,
                     cr_lbt_enabled=cr_lbt, seed=seed)
-    # a node's window bounds hold again once it has drawn from a reset window
+    # a node's window bounds hold again once it has succeeded or collided
     # after its CW parameters last changed (new values take effect at next draws)
     settled = [True] * len(sim.nodes)
     data = []
@@ -683,7 +707,7 @@ def test_invariants_hold_under_random_mixes_and_assignments(run, cr_lbt, rs_bloc
             assert delta.pulse_us == sum(spans[TxKind.CR_PULSE])
             assert delta.delay_sum_us == sum(
                 o.access_delay_us for o in mine if o.kind == TxKind.SUCCESS)
-            if spans[TxKind.SUCCESS]:
+            if spans[TxKind.SUCCESS] or spans[TxKind.COLLISION]:
                 settled[node.idx] = True
             assert node.stats.success_air_us + node.stats.collision_air_us <= sim.clock
             assert 0 <= node.backoff <= node.cw_current

@@ -1,0 +1,133 @@
+"""Compare the working tree's channel simulator with the one at a git revision.
+
+    python tools/simdiff.py REF N
+
+Loads `git show REF:src/coexctl/medium.py` as a standalone module (the file
+imports nothing from the package) and runs N seeded random scenarios through
+both `Simulator`s. A scenario draws a contender mix, channel timings,
+`frame_tx_us`, `cr_lbt`, `rs_blocks_medium`, `cr_redraw_on_defer` and a run of
+windows of random length, each preceded by a random assignment of `aifsn`,
+`cw_max` and `mcot_us` per (tech, class). `cw_min` stays at each node's
+starting value, as in the environment's cw mode. After every window it
+compares the outcomes, `clock`, `occupied_us_at()`, every node's `NodeStats`
+and its backoff state. It prints the first mismatch and exits 1. Scenarios
+whose timings the working tree refuses are skipped and counted.
+A refactor that must not change the simulator's results reports 0 mismatches.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import subprocess
+import sys
+from dataclasses import astuple
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from coexctl import medium as new  # noqa: E402
+
+POW2M1 = [0, 1, 3, 7, 15, 31, 63, 127, 255]
+
+
+def load_ref(ref: str):
+    source = subprocess.run(["git", "-C", ROOT, "show", f"{ref}:src/coexctl/medium.py"],
+                            check=True, capture_output=True, text=True).stdout
+    spec = importlib.util.spec_from_loader("simdiff_ref_medium", loader=None)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    exec(compile(source, f"{ref}:src/coexctl/medium.py", "exec"), module.__dict__)
+    return module
+
+
+def draw_scenario(rng: np.random.Generator) -> dict:
+    obs = int(rng.integers(5, 13))
+    sifs = int(rng.integers(8, 21))
+    period = int(rng.choice([250, 500, 1000]))
+    # reaches past 2 * (sifs + obs), so some timings are refused
+    cr_slot = 2 * int(rng.integers(1, sifs + obs + 3))
+    cr_count = int(rng.integers(1, max(1, period // cr_slot) + 1))
+    keys = [(tech, pclass) for tech in ("NRU", "WIFI") for pclass in ("PC1", "PC3")]
+    mix = []
+    for _ in range(int(rng.integers(1, 6))):
+        lo, hi = sorted(int(v) for v in rng.choice(POW2M1[:6], 2))
+        mix.append({"key": keys[int(rng.integers(len(keys)))], "aifsn": int(rng.integers(1, 8)),
+                    "cw_min": lo, "cw_max": hi, "mcot_us": 500 * int(rng.integers(1, 9)),
+                    "count": int(rng.integers(1, 4))})
+    frame = int(rng.integers(1, 501)) if rng.random() < 0.3 else None
+    windows = []
+    for _ in range(int(rng.integers(1, 13))):
+        assignment = {}
+        for key in keys:
+            members = [c for c in mix if c["key"] == key]
+            if not members or rng.random() < 0.4:
+                continue
+            floor = max(c["cw_min"] for c in members)
+            assignment[key] = {"aifsn": int(rng.integers(1, 8)),
+                               "cw_max": int(rng.choice([v for v in POW2M1 if v >= floor])),
+                               "mcot_us": 500 * int(rng.integers(1, 9))}
+        windows.append((assignment, int(rng.integers(1, 5001))))
+    return {
+        "medium": {"obs_slot_us": obs, "sifs_us": sifs, "nru_slot_boundary_us": period,
+                   "frame_tx_us": frame, "cr_slot_us": cr_slot, "cr_slot_count": cr_count,
+                   "rs_blocks_medium": bool(rng.random() < 0.3)},
+        "mix": mix,
+        "cr_lbt": bool(rng.random() < 0.6),
+        "cr_redraw_on_defer": bool(rng.random() < 0.3),
+        "seed": int(rng.integers(2**16)),
+        "windows": windows,
+    }
+
+
+def build(mod, sc: dict):
+    contenders = [mod.ContenderConfig(mod.Tech(c["key"][0]), mod.PClass(c["key"][1]),
+                                      c["aifsn"], c["cw_min"], c["cw_max"], c["mcot_us"],
+                                      c["count"]) for c in sc["mix"]]
+    return mod.Simulator(mod.MediumParams(**sc["medium"]), contenders,
+                         cr_lbt_enabled=sc["cr_lbt"], seed=sc["seed"],
+                         cr_redraw_on_defer=sc["cr_redraw_on_defer"])
+
+
+def state(mod, sim, assignment: dict, duration: int):
+    """Run one window and return everything the two simulators must agree on."""
+    sim.apply_mac_params({(mod.Tech(tech), mod.PClass(pclass)): dict(params)
+                          for (tech, pclass), params in assignment.items()})
+    out = [(o.node, o.kind.value, o.start_us, o.end_us, o.access_delay_us)
+           for o in sim.run_for(duration)]
+    nodes = [(astuple(n.stats), n.backoff, n.cw_current, n.hol_since_us) for n in sim.nodes]
+    return {"outcomes": out, "clock": sim.clock, "occupied": sim.occupied_us_at(),
+            "nodes": nodes}
+
+
+def main(ref: str, n: int) -> int:
+    old = load_ref(ref)
+    skipped = windows = 0
+    for i in range(n):
+        sc = draw_scenario(np.random.default_rng(i))
+        try:
+            new.MediumParams(**sc["medium"]).validate()
+        except new.ConfigError:
+            skipped += 1
+            continue
+        sims = build(old, sc), build(new, sc)
+        for w, (assignment, duration) in enumerate(sc["windows"]):
+            a, b = (state(mod, sim, assignment, duration) for mod, sim in zip((old, new), sims))
+            windows += 1
+            if a != b:
+                print(f"mismatch in scenario {i}, window {w}: {sc}")
+                for key in a:
+                    if a[key] != b[key]:
+                        print(f"  {key}\n    {ref}: {a[key]}\n    working tree: {b[key]}")
+                return 1
+    print(f"{n} scenarios, {n - skipped} run ({windows} windows), {skipped} skipped as refused"
+          f" timings, 0 mismatches against {ref}")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit("usage: python tools/simdiff.py REF N")
+    sys.exit(main(sys.argv[1], int(sys.argv[2])))
