@@ -20,7 +20,6 @@ from .harness import (
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--episodes", type=int, help="override episode count")
     p.add_argument("--action-mode", choices=["cw", "aifsn", "mcot"], help="controlled parameter")
     p.add_argument("--cr-lbt", choices=["on", "off"], help="collision-resolution LBT")
     p.add_argument("--scaling", choices=["on", "off"], help="violation scaling pipeline")
@@ -54,6 +53,7 @@ def main(argv=None) -> int:
 
     p_train = sub.add_parser("train", help="train a policy and write the artifact + log")
     _add_common(p_train)
+    p_train.add_argument("--episodes", type=int, help="override training episode count")
 
     p_eval = sub.add_parser("evaluate", help="greedy rollout of a stored policy")
     p_eval.add_argument("artifact", help="policy artifact path")

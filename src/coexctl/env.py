@@ -168,6 +168,9 @@ class CoexEnv:
         self.lambda_max = DualController.lambda_max
         self._step_count = 0
         self._metrics: Optional[met.StepMetrics] = None
+        # PC1 node indices; per-node counters and occupancy at the last window edge
+        self._pc1: list[int] = []
+        self._prev_stats: list = []
         self._prev_occupied = 0
 
     # ------------------------------------------------------------------
@@ -206,8 +209,10 @@ class CoexEnv:
                 seed=seed,
             )
             self._applied = None
+            self._pc1 = [n.idx for n in self.sim.nodes if n.cfg.pclass == PClass.PC1]
         self._step_count = 0
-        self._metrics = met.StepMetrics.initial(range(len(self.sim.nodes)))
+        self._metrics = met.StepMetrics.initial(len(self.sim.nodes))
+        self._prev_stats = self.sim.stats_snapshot()
         self._prev_occupied = self.sim.occupied_us_at()
         self.lam = lambda0
         return self._observe()
@@ -238,21 +243,25 @@ class CoexEnv:
             raise RuntimeError("episode is done; call reset()")
         if action is not None:
             self._apply_action(action)
-        outcomes = self.sim.run_for(self.step_duration_us)
-        occupied = self.sim.occupied_us_at()
+        sim = self.sim
+        sim.run_for(self.step_duration_us)
+        stats = sim.stats_snapshot()
+        window = [now.since(before) for now, before in zip(stats, self._prev_stats)]
+        self._prev_stats = stats
+        occupied = sim.occupied_us_at()
         busy = occupied - self._prev_occupied
         self._prev_occupied = occupied
         # Routine in-flight waits stay invisible; only starvation-scale ages
         # (a head-of-line frame older than 4x the threshold) feed the delay
         # signal, so a collapsed channel cannot read as zero delay.
         pending_age = max(
-            (self.sim.clock - n.hol_since_us for n in self.sim.nodes if n.cfg.pclass == PClass.PC1),
-            default=0,
+            (sim.clock - sim.nodes[i].hol_since_us for i in self._pc1), default=0
         )
         if pending_age <= 4 * self.d_th_us:
             pending_age = 0
         self._metrics = met.step_metrics(
-            outcomes,
+            window,
+            self._pc1,
             self._metrics,
             self.step_duration_us,
             busy,

@@ -42,13 +42,7 @@ class DualConfig:
     alpha_v: float = 0.2
 
     def controller(self) -> DualController:
-        return DualController(
-            lambda_max=self.lambda_max,
-            eta_lambda=self.eta_lambda,
-            update_period=self.update_period,
-            kappa=self.kappa,
-            alpha_v=self.alpha_v,
-        )
+        return DualController(**asdict(self))
 
 
 @dataclass
@@ -86,6 +80,10 @@ class ExperimentConfig:
         if unknown:
             raise ConfigFileError(f"unknown scenario count keys: {sorted(unknown)}")
         self.learner.validate()
+        try:
+            self.dual.controller()
+        except ValueError as e:
+            raise ConfigFileError(f"dual: {e}") from e
 
     def build_env(self) -> CoexEnv:
         if self.scenario == "coex_mix":

@@ -13,8 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -436,14 +436,14 @@ class StepLog:
     action: int
     loss: float
 
-    FIELDS = (
-        "episode", "step", "lam", "v", "v_scaled", "v_ema", "cost", "jfi",
-        "delay_inst_us", "delay_smooth_us", "collision_rate", "airtime_util",
-        "violation_rate", "reward", "epsilon", "action", "loss",
-    )
+    # the CSV header: the field names in declaration order, set below
+    FIELDS: ClassVar[tuple[str, ...]]
 
     def row(self) -> list:
         return [getattr(self, f) for f in self.FIELDS]
+
+
+StepLog.FIELDS = tuple(f.name for f in fields(StepLog))
 
 
 @dataclass
@@ -471,6 +471,8 @@ def _rollout(
     action, or None to keep the MAC parameters. Without a dual, lambda stays
     0. Returns the step log and the per-node counters after the first reset.
     """
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     total_steps = episodes * env.episode_steps
     if dual is not None:
         env.lambda_max = dual.lambda_max

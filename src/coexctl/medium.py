@@ -30,7 +30,8 @@ countdown end.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, fields, replace
+import operator
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -178,7 +179,7 @@ class NodeStats:
 
     def since(self, start: "NodeStats") -> "NodeStats":
         """Counters accumulated after the snapshot start (a window diff)."""
-        return NodeStats(*(getattr(self, f.name) - getattr(start, f.name) for f in fields(self)))
+        return NodeStats(*map(operator.sub, vars(self).values(), vars(start).values()))
 
     @property
     def attempts(self) -> int:
@@ -388,7 +389,7 @@ class Simulator:
         return total
 
     def stats_snapshot(self) -> list[NodeStats]:
-        return [replace(n.stats) for n in self.nodes]
+        return [NodeStats(*vars(n.stats).values()) for n in self.nodes]
 
     def node_names(self) -> list[str]:
         return [n.name for n in self.nodes]

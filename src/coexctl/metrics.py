@@ -1,22 +1,23 @@
-"""Per-control-step performance signals derived from channel outcome traces.
+"""Per-control-step performance signals derived from the simulator's per-node counters.
 
-Converts the raw TxOutcome stream of one control window into the smoothed
-signal set the controller observes: Jain's fairness index over per-node
-successful airtime, instantaneous and EMA-smoothed PC1 access delay, per-node
-collision rates, a fast-minus-slow collision trend, channel airtime
-utilization, and the QoS-violation rate. Sparse windows carry the previous
-value rather than emitting zeros, matching the smoothing the controller's
-constraint signal relies on.
+Converts one control window's per-node NodeStats (the simulator's cumulative
+counters diffed across the window) into the smoothed signal set the controller
+observes: Jain's fairness index over per-node successful airtime,
+instantaneous and EMA-smoothed PC1 access delay, per-node collision rates, a
+fast-minus-slow collision trend, channel airtime utilization, and the
+QoS-violation rate. Sparse windows carry the previous value rather than
+emitting zeros, matching the smoothing the controller's constraint signal
+relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .medium import PClass, TxKind, TxOutcome
+from .medium import NodeStats
 
 # Smoothing constants; settle within roughly one 100-step episode.
 ALPHA_DELAY = 0.2
@@ -53,49 +54,52 @@ def ema_update(prev: float, sample: float, alpha: float) -> float:
 
 @dataclass
 class StepMetrics:
-    """Signals for one control window plus the carried EMA state."""
+    """Signals for one control window plus the carried EMA state; per-node lists in node order."""
 
     jfi: float
     pc1_delay_inst_us: float
     pc1_delay_smooth_us: float
-    collision_rate: dict[int, float]
+    collision_rate: list[float]
     collision_trend: float
     airtime_util: float
     violation_rate: float
     # carried smoothing state: per-node success-airtime EMA for the fairness
     # index, fast/slow EMAs of the aggregate collision rate for the trend
-    airtime_ema: dict[int, float] = None
+    airtime_ema: list[float] = None
     coll_ema_fast: float = 0.0
     coll_ema_slow: float = 0.0
     coll_rate_agg: float = 0.0
 
     @classmethod
-    def initial(cls, node_ids: Iterable[int]) -> "StepMetrics":
-        ids = list(node_ids)
+    def initial(cls, n_nodes: int) -> "StepMetrics":
         return cls(
             jfi=1.0,
             pc1_delay_inst_us=0.0,
             pc1_delay_smooth_us=0.0,
-            collision_rate={i: 0.0 for i in ids},
+            collision_rate=[0.0] * n_nodes,
             collision_trend=0.0,
             airtime_util=0.0,
             violation_rate=0.0,
-            airtime_ema={i: 0.0 for i in ids},
+            airtime_ema=[0.0] * n_nodes,
         )
 
 
 def step_metrics(
-    outcomes: Sequence[TxOutcome],
+    window: Sequence[NodeStats],
+    pc1_nodes: Sequence[int],
     prev: StepMetrics,
     window_us: int,
     busy_us: int,
     d_th_us: float = 2000.0,
     pc1_pending_age_us: float = 0.0,
 ) -> StepMetrics:
-    """Aggregate one window's outcomes into the next StepMetrics.
+    """Fold one window's per-node counters into the next StepMetrics.
 
-    busy_us is the channel occupancy inside the window, from the simulator's
-    occupancy integrator, so frames still in flight at the window edges count.
+    window holds each node's counters accumulated inside the window
+    (NodeStats.since), in node-index order; pc1_nodes are the indices of the
+    PC1 nodes, whose mean access delay is the instantaneous delay. busy_us is
+    the channel occupancy inside the window, from the simulator's occupancy
+    integrator, so frames still in flight at the window edges count.
 
     pc1_pending_age_us is the age of the oldest undelivered PC1 head-of-line
     frame at the window edge. A window without PC1 completions carries the
@@ -106,28 +110,12 @@ def step_metrics(
     if window_us <= 0:
         raise ValueError("window_us must be > 0")
 
-    node_ids = list(prev.collision_rate.keys())
-    succ = {i: 0 for i in node_ids}
-    coll = {i: 0 for i in node_ids}
-    success_air = {i: 0 for i in node_ids}
-    pc1_delays: list[int] = []
-    for o in outcomes:
-        if o.kind == TxKind.SUCCESS:
-            succ[o.node] = succ.get(o.node, 0) + 1
-            success_air[o.node] = success_air.get(o.node, 0) + o.duration_us
-            if o.pclass == PClass.PC1 and o.access_delay_us is not None:
-                pc1_delays.append(o.access_delay_us)
-        elif o.kind == TxKind.COLLISION:
-            coll[o.node] = coll.get(o.node, 0) + 1
-
     # per-node collision rate, carried when a node made no attempts
-    rates = {}
-    for i in node_ids:
-        attempts = succ[i] + coll[i]
-        rates[i] = coll[i] / attempts if attempts else prev.collision_rate[i]
+    rates = [s.collisions / s.attempts if s.attempts else r
+             for s, r in zip(window, prev.collision_rate)]
 
-    total_succ = sum(succ.values())
-    total_coll = sum(coll.values())
+    total_succ = sum(s.successes for s in window)
+    total_coll = sum(s.collisions for s in window)
     agg = (
         total_coll / (total_succ + total_coll)
         if (total_succ + total_coll)
@@ -136,8 +124,10 @@ def step_metrics(
     fast = ema_update(prev.coll_ema_fast, agg, ALPHA_FAST)
     slow = ema_update(prev.coll_ema_slow, agg, ALPHA_SLOW)
 
-    if pc1_delays:
-        delay_inst = float(np.mean(pc1_delays))
+    # exact integer sums, so the quotient is the correctly rounded mean
+    pc1_succ = sum(window[i].successes for i in pc1_nodes)
+    if pc1_succ:
+        delay_inst = sum(window[i].delay_sum_us for i in pc1_nodes) / pc1_succ
     else:
         delay_inst = max(prev.pc1_delay_inst_us, float(pc1_pending_age_us))
     delay_smooth = ema_update(prev.pc1_delay_smooth_us, delay_inst, ALPHA_DELAY)
@@ -146,12 +136,10 @@ def step_metrics(
     # nothing scores the 1/n floor rather than a vacuous or stale value, so a
     # collision-collapsed channel cannot keep earning ghost fairness. The
     # smoothed per-node shares are still tracked for reporting.
-    airtime_ema = {
-        i: ema_update(prev.airtime_ema[i], float(success_air[i]), ALPHA_DELAY)
-        for i in node_ids
-    }
-    airtimes = [success_air[i] for i in node_ids]
-    jfi = jain_index(airtimes) if any(airtimes) else 1.0 / len(node_ids)
+    airtimes = [s.success_air_us for s in window]
+    airtime_ema = [ema_update(e, float(x), ALPHA_DELAY)
+                   for e, x in zip(prev.airtime_ema, airtimes)]
+    jfi = jain_index(airtimes) if any(airtimes) else 1.0 / len(airtimes)
 
     util = min(busy_us / window_us, 1.0)
 
@@ -183,11 +171,10 @@ def build_observation(metrics: StepMetrics, d_th_us: float = 2000.0) -> np.ndarr
         raise ValueError("d_th_us must be > 0")
     # Every feature is finite by construction (guarded divisions, means of
     # integer delays, a min()'d utilisation), so clipping is all that is left.
-    rates = metrics.collision_rate
     vec = np.array([
         metrics.pc1_delay_inst_us / d_th_us,
         metrics.pc1_delay_smooth_us / d_th_us,
-        *(rates[i] for i in sorted(rates)),
+        *metrics.collision_rate,
         metrics.collision_trend,
         metrics.airtime_util,
         metrics.violation_rate,

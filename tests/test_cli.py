@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from coexctl.cli import main
 
 
@@ -67,3 +69,18 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
 def test_missing_artifact_errors(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["evaluate", str(tmp_path / "nope.bin"), "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_baseline_with_no_eval_episodes_is_an_error(tmp_path, capsys, n):
+    cfg = write_cfg(tmp_path)
+    assert main(["baseline", "--config", cfg, "--eval-episodes", n]) == 2
+    assert capsys.readouterr().err.startswith("error: episodes must be >= 1")
+
+
+@pytest.mark.parametrize("command", [["baseline"], ["evaluate", "policy.bin"], ["trace"]])
+def test_episodes_flag_is_train_only(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--episodes", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --episodes 3" in capsys.readouterr().err

@@ -10,7 +10,8 @@ from coexctl.env import (
     single_pc1_preset,
     coex_mix_preset,
 )
-from coexctl.medium import PClass, Simulator, Tech
+from coexctl.medium import PClass, Simulator, Tech, TxKind
+from coexctl.metrics import ALPHA_DELAY, ema_update, jain_index
 
 
 # ----------------------------------------------------------------------
@@ -253,3 +254,57 @@ def test_observations_are_finite_and_clipped_under_random_actions(mode):
     obs = np.array(obs[:301])
     assert np.isfinite(obs).all()
     assert (np.abs(obs) <= 5.0).all()
+
+
+def tally_step(outcomes, prev, env):
+    """Reference for one step's per-node signals, re-counted from the outcome stream."""
+    n = env.n_nodes
+    succ, coll, air, pc1_delays = [0] * n, [0] * n, [0] * n, []
+    for o in outcomes:
+        if o.kind == TxKind.SUCCESS:
+            succ[o.node] += 1
+            air[o.node] += o.duration_us
+            if o.pclass == PClass.PC1:
+                pc1_delays.append(o.access_delay_us)
+        elif o.kind == TxKind.COLLISION:
+            coll[o.node] += 1
+    rates = [c / (s + c) if s + c else r for s, c, r in zip(succ, coll, prev["rates"])]
+    if pc1_delays:
+        delay = float(np.mean(pc1_delays))
+    else:
+        sim = env.sim
+        age = max(sim.clock - nd.hol_since_us for nd in sim.nodes if nd.cfg.pclass == PClass.PC1)
+        delay = max(prev["delay"], float(age if age > 4 * env.d_th_us else 0))
+    return {
+        "rates": rates,
+        "jfi": jain_index(air) if any(air) else 1.0 / n,
+        "ema": [ema_update(e, float(a), ALPHA_DELAY) for e, a in zip(prev["ema"], air)],
+        "delay": delay,
+    }
+
+
+@pytest.mark.parametrize("mode", ["cw", "aifsn", "mcot"])
+def test_step_signals_equal_a_recount_of_the_outcome_stream(monkeypatch, mode):
+    env = CoexEnv(coex_mix_preset(2, 3, 3), action_mode=mode, cr_lbt=True)
+    rng = np.random.default_rng(15)
+    env.reset(seed=15)
+    windows = []
+    run_for = env.sim.run_for
+
+    def capture(duration_us):
+        windows.append(run_for(duration_us))
+        return windows[-1]
+
+    monkeypatch.setattr(env.sim, "run_for", capture)
+    for episode in range(3):
+        if episode:
+            env.reset()  # soft reset: the medium persists, the signals restart
+        ref = {"rates": [0.0] * env.n_nodes, "ema": [0.0] * env.n_nodes, "delay": 0.0}
+        for _ in range(env.episode_steps):
+            info = env.step(int(rng.integers(env.n_actions))).info
+            ref = tally_step(windows[-1], ref, env)
+            assert info.collision_rate == ref["rates"]
+            assert info.jfi == ref["jfi"]
+            assert info.airtime_ema == ref["ema"]
+            assert info.pc1_delay_inst_us == ref["delay"]
+    assert len(windows) == 300

@@ -123,6 +123,25 @@ def test_wrong_typed_value_rejected_by_name(tmp_path, capsys, data, key):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("dual", [
+    {"kappa": 0.0}, {"kappa": -1.0}, {"update_period": 0}, {"lambda_max": -1.0},
+    {"eta_lambda": 0.0}, {"alpha_v": 0.0}, {"alpha_v": 1.5},
+])
+def test_invalid_dual_settings_rejected_before_any_run(tmp_path, capsys, dual):
+    with pytest.raises(ConfigFileError, match="dual"):
+        config_from_dict({"dual": dual})
+    cfg = smoke_config(tmp_path)
+    for key, value in dual.items():
+        setattr(cfg.dual, key, value)
+    with pytest.raises(ConfigFileError, match="dual"):
+        cmd_train(cfg)
+    assert not os.path.exists(cfg.out_dir)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dual": dual}))
+    assert main(["baseline", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unparseable_config(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

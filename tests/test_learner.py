@@ -415,6 +415,15 @@ def test_greedy_rollout_normalises_lambda_by_the_duals_lambda_max():
     assert all(feat == lam / 8.0 for feat, lam in seen)
 
 
+@pytest.mark.parametrize("episodes", [0, -2])
+def test_greedy_rollout_needs_at_least_one_episode(episodes):
+    from coexctl.env import CoexEnv, coex_mix_preset
+    from coexctl.learner import greedy_rollout
+
+    with pytest.raises(ValueError, match="episodes must be >= 1"):
+        greedy_rollout(CoexEnv(coex_mix_preset()), None, None, episodes=episodes, seed=0)
+
+
 def test_policy_artifact_checksum_detects_corruption(tmp_path):
     lrn = QLearner(obs_dim=3, n_actions=2, config=tiny_config(), seed=9)
     path = tmp_path / "policy.bin"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coexctl.medium import PClass, Tech, TxKind, TxOutcome
+from coexctl.medium import NodeStats
 from coexctl.metrics import (
     StepMetrics,
     build_observation,
@@ -13,13 +13,6 @@ from coexctl.metrics import (
     observation_dim,
     step_metrics,
 )
-
-
-def outcome(node, kind, start, end, pclass=PClass.PC3, delay=None):
-    return TxOutcome(
-        node=node, tech=Tech.NRU, pclass=pclass, kind=kind,
-        start_us=start, end_us=end, access_delay_us=delay,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -97,19 +90,22 @@ def test_ema_rejects_bad_alpha():
 
 
 def initial3():
-    return StepMetrics.initial(range(3))
+    return StepMetrics.initial(3)
+
+
+def quiet3():
+    return [NodeStats() for _ in range(3)]
 
 
 def test_collision_rate_counting_oracle():
     prev = initial3()
     window = [
-        outcome(0, TxKind.COLLISION, 0, 100),
-        outcome(0, TxKind.COLLISION, 200, 300),
-        outcome(0, TxKind.COLLISION, 400, 500),
-        outcome(0, TxKind.SUCCESS, 600, 700, delay=50),
-        outcome(1, TxKind.SUCCESS, 800, 900, delay=10),
+        NodeStats(successes=1, collisions=3, success_air_us=100, collision_air_us=300,
+                  delay_sum_us=50),
+        NodeStats(successes=1, success_air_us=100, delay_sum_us=10),
+        NodeStats(),
     ]
-    m = step_metrics(window, prev, 2500, busy_us=0)
+    m = step_metrics(window, [], prev, 2500, busy_us=0)
     assert m.collision_rate[0] == pytest.approx(0.75)
     assert m.collision_rate[1] == 0.0
     assert m.collision_rate[2] == prev.collision_rate[2]  # no attempts: carried
@@ -117,31 +113,40 @@ def test_collision_rate_counting_oracle():
 
 def test_delay_carry_rule():
     prev = initial3()
-    m1 = step_metrics(
-        [outcome(0, TxKind.SUCCESS, 0, 100, pclass=PClass.PC1, delay=777)], prev, 2500,
-        busy_us=0,
-    )
+    window = [NodeStats(successes=1, success_air_us=100, delay_sum_us=777), NodeStats(),
+              NodeStats()]
+    m1 = step_metrics(window, [0], prev, 2500, busy_us=0)
     assert m1.pc1_delay_inst_us == 777
-    m2 = step_metrics([], m1, 2500, busy_us=0)
+    m2 = step_metrics(quiet3(), [0], m1, 2500, busy_us=0)
     assert m2.pc1_delay_inst_us == 777  # carried
     assert m2.pc1_delay_smooth_us == pytest.approx(
         0.2 * 777 + 0.8 * m1.pc1_delay_smooth_us
     )
 
 
+def test_pc1_delay_is_the_mean_over_pc1_successes_only():
+    window = [
+        NodeStats(successes=2, success_air_us=200, delay_sum_us=300),
+        NodeStats(successes=5, success_air_us=500, delay_sum_us=99_999),  # PC3
+        NodeStats(successes=1, success_air_us=100, delay_sum_us=400),
+    ]
+    m = step_metrics(window, [0, 2], initial3(), 2500, busy_us=0)
+    assert m.pc1_delay_inst_us == float(np.mean([100, 200, 400]))
+
+
 def test_pending_age_floors_carried_delay():
     prev = initial3()
-    m = step_metrics([], prev, 2500, busy_us=0, pc1_pending_age_us=9999.0)
+    m = step_metrics(quiet3(), [0], prev, 2500, busy_us=0, pc1_pending_age_us=9999.0)
     assert m.pc1_delay_inst_us == 9999.0
     # a younger pending frame leaves the carry untouched
-    m2 = step_metrics([], m, 2500, busy_us=0, pc1_pending_age_us=100.0)
+    m2 = step_metrics(quiet3(), [0], m, 2500, busy_us=0, pc1_pending_age_us=100.0)
     assert m2.pc1_delay_inst_us == 9999.0
 
 
 def test_idle_window_util_zero():
     # util is the occupancy integral's share of the window, clipped at 1.0
     for busy_us in (0, 1700, 2500, 2600):
-        m = step_metrics([], initial3(), 2500, busy_us=busy_us)
+        m = step_metrics(quiet3(), [], initial3(), 2500, busy_us=busy_us)
         assert m.airtime_util == min(busy_us / 2500, 1.0)
     assert m.airtime_util == 1.0
 
@@ -149,38 +154,28 @@ def test_idle_window_util_zero():
 def test_jfi_within_window_shares_and_smoothed_tracking():
     prev = initial3()
     window = [
-        outcome(0, TxKind.SUCCESS, 0, 1000, delay=1),
-        outcome(1, TxKind.SUCCESS, 1000, 2000, delay=1),
+        NodeStats(successes=1, success_air_us=1000, delay_sum_us=1),
+        NodeStats(successes=1, success_air_us=1000, delay_sum_us=1),
+        NodeStats(),
     ]
-    m1 = step_metrics(window, prev, 2500, busy_us=0)
+    m1 = step_metrics(window, [], prev, 2500, busy_us=0)
     assert m1.jfi == pytest.approx(jain_index([1000, 1000, 0]))
     # smoothed per-node shares carried for reporting: 0.2*[1000, 1000, 0]
-    assert m1.airtime_ema == {0: 200.0, 1: 200.0, 2: 0.0}
+    assert m1.airtime_ema == [200.0, 200.0, 0.0]
 
 
 def test_jfi_floors_at_1_over_n_when_nothing_delivers():
     m = initial3()
-    m2 = step_metrics([outcome(2, TxKind.COLLISION, 0, 500)], m, 2500, busy_us=0)
+    window = [NodeStats(), NodeStats(), NodeStats(collisions=1, collision_air_us=500)]
+    m2 = step_metrics(window, [], m, 2500, busy_us=0)
     assert m2.jfi == pytest.approx(1.0 / 3.0)  # nothing delivered: least fair
-
-
-def test_step_metrics_outcome_order_invariant():
-    prev = initial3()
-    window = [
-        outcome(0, TxKind.COLLISION, 0, 100),
-        outcome(1, TxKind.SUCCESS, 200, 400, pclass=PClass.PC1, delay=42),
-        outcome(2, TxKind.SUCCESS, 500, 900),
-        outcome(0, TxKind.SUCCESS, 1000, 1200, delay=3),
-    ]
-    a = step_metrics(window, prev, 2500, busy_us=0)
-    b = step_metrics(list(reversed(window)), prev, 2500, busy_us=0)
-    assert a == b
 
 
 def test_trend_is_fast_minus_slow():
     prev = initial3()
-    window = [outcome(0, TxKind.COLLISION, 0, 100), outcome(1, TxKind.SUCCESS, 200, 300)]
-    m = step_metrics(window, prev, 2500, busy_us=0)
+    window = [NodeStats(collisions=1, collision_air_us=100),
+              NodeStats(successes=1, success_air_us=100), NodeStats()]
+    m = step_metrics(window, [], prev, 2500, busy_us=0)
     agg = 0.5
     assert m.coll_ema_fast == pytest.approx(0.3 * agg)
     assert m.coll_ema_slow == pytest.approx(0.05 * agg)
@@ -189,10 +184,9 @@ def test_trend_is_fast_minus_slow():
 
 def test_violation_rate_tracks_threshold():
     prev = initial3()
-    m = step_metrics(
-        [outcome(0, TxKind.SUCCESS, 0, 100, pclass=PClass.PC1, delay=50_000)],
-        prev, 2500, busy_us=0, d_th_us=2000.0,
-    )
+    window = [NodeStats(successes=1, success_air_us=100, delay_sum_us=50_000), NodeStats(),
+              NodeStats()]
+    m = step_metrics(window, [0], prev, 2500, busy_us=0, d_th_us=2000.0)
     # smoothed delay = 0.2*50000 = 10000 > 2000
     assert m.pc1_delay_smooth_us > 2000
     assert m.violation_rate == pytest.approx(0.2)
@@ -217,7 +211,7 @@ def test_observation_layout_and_dim():
 
 
 def test_observation_all_quiet_is_zero():
-    m = StepMetrics.initial(range(2))
+    m = StepMetrics.initial(2)
     obs = build_observation(m)
     assert np.all(obs == 0.0)
 
@@ -230,11 +224,11 @@ def test_observation_all_quiet_is_zero():
 )
 @settings(max_examples=200, deadline=None)
 def test_observation_always_finite_and_clipped(d1, d2, trend, rates):
-    m = StepMetrics.initial(range(2))
+    m = StepMetrics.initial(2)
     m.pc1_delay_inst_us = d1
     m.pc1_delay_smooth_us = d2
     m.collision_trend = trend
-    m.collision_rate = {0: rates[0], 1: rates[1]}
+    m.collision_rate = rates
     obs = build_observation(m)
     assert np.all(np.isfinite(obs))
     assert np.all(obs <= 5.0) and np.all(obs >= -5.0)
