@@ -72,10 +72,15 @@ class DualController:
     _comp: float = 0.0  # Kahan compensation for the accumulated updates
 
     def __post_init__(self) -> None:
-        if self.lambda_max < 0 or self.eta_lambda <= 0 or self.update_period < 1:
-            raise ValueError("invalid dual controller parameters")
-        if self.kappa <= 0 or not 0.0 < self.alpha_v <= 1.0:
-            raise ValueError("invalid dual controller parameters")
+        for name, ok, rule in (
+            ("lambda_max", self.lambda_max >= 0, ">= 0"),
+            ("eta_lambda", self.eta_lambda > 0, "> 0"),
+            ("update_period", self.update_period >= 1, ">= 1"),
+            ("kappa", self.kappa > 0, "> 0"),
+            ("alpha_v", 0.0 < self.alpha_v <= 1.0, "in (0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def observe(self, v_scaled: float) -> float:
         """Fold one step's scaled violation into the EMA; returns the new EMA."""

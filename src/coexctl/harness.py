@@ -79,11 +79,12 @@ class ExperimentConfig:
         unknown = set(self.counts) - {"gnb_pc1", "gnb_pc3", "ap_pc3"}
         if unknown:
             raise ConfigFileError(f"unknown scenario count keys: {sorted(unknown)}")
-        self.learner.validate()
-        try:
-            self.dual.controller()
-        except ValueError as e:
-            raise ConfigFileError(f"dual: {e}") from e
+        for section, check in (("learner", self.learner.validate),
+                               ("dual", self.dual.controller)):
+            try:
+                check()
+            except ValueError as e:
+                raise ConfigFileError(f"{section}: {e}") from e
 
     def build_env(self) -> CoexEnv:
         if self.scenario == "coex_mix":

@@ -275,12 +275,18 @@ class LearnerConfig:
     target_sync_interval: int = 1000
 
     def validate(self) -> None:
-        if not (0 < self.gamma <= 1 and self.buffer_capacity > 0 and self.batch_size > 0):
-            raise ValueError("invalid learner config")
-        if not (0 <= self.epsilon_end <= self.epsilon_start <= 1):
-            raise ValueError("epsilon range must satisfy end <= start within [0, 1]")
-        if self.learning_rate <= 0 or self.target_sync_interval < 1:
-            raise ValueError("invalid learner config")
+        for name, ok, rule in (
+            ("gamma", 0 < self.gamma <= 1, "in (0, 1]"),
+            ("buffer_capacity", self.buffer_capacity > 0, "> 0"),
+            ("epsilon_start", 0 <= self.epsilon_start <= 1, "in [0, 1]"),
+            ("epsilon_end", 0 <= self.epsilon_end <= self.epsilon_start, "in [0, epsilon_start]"),
+            ("epsilon_anneal_fraction", 0 <= self.epsilon_anneal_fraction <= 1, "in [0, 1]"),
+            ("learning_rate", self.learning_rate > 0, "> 0"),
+            ("batch_size", self.batch_size > 0, "> 0"),
+            ("target_sync_interval", self.target_sync_interval >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 class QLearner:

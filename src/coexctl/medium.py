@@ -20,11 +20,13 @@ Any temporal overlap between data transmissions is a collision for every
 participant. Reservation holds and CR pulses never corrupt data.
 
 A CR listen half is shorter than the smallest AIFS (MediumParams.validate
-refuses timings where it is not), so no countdown ends inside a pulse train:
-nodes that pulse in phase are exactly those that committed at the same
-microsecond, and they share one heap event per pulse edge. Every running
-countdown is served by one access timer kept beside the heap at the earliest
-countdown end.
+refuses timings where it is not), so no countdown can progress inside a pulse
+train, and the train is one busy period for countdowns: each member holds the
+channel from its first pulse start to its last pulse end (or its abort), while
+occupancy still counts only the pulses. Nodes that pulse in phase are exactly
+those that committed at the same microsecond, and they share one heap event
+per pulse edge. Every running countdown is served by one access timer kept
+beside the heap, always at the earliest countdown end.
 """
 
 from __future__ import annotations
@@ -205,6 +207,7 @@ class _Commit:
     t0: int
     boundary: int
     n_pulses: int = 0
+    held: bool = False  # a CR train member's hold on the channel, first pulse to last
 
 
 @dataclass
@@ -220,20 +223,10 @@ class NodeState:
     state: int = _DEFER
     anchor: int = 0
     pending_at: int = 0
-    aifs: int = 0  # aifs_us() of the current cfg, cached by the Simulator
+    aifs: int = 0  # SIFS + aifsn slots of the current cfg, cached by the Simulator
     commit: Optional[_Commit] = None
+    collided: bool = False  # the data frame in flight overlapped another
     stats: NodeStats = field(default_factory=NodeStats)
-
-    def aifs_us(self, medium: MediumParams) -> int:
-        return medium.sifs_us + self.cfg.aifsn * medium.obs_slot_us
-
-
-@dataclass
-class _ActiveTx:
-    node: NodeState
-    start: int
-    end: int
-    collided: bool
 
 
 def draw_backoff(rng: np.random.Generator, cw_current: int) -> int:
@@ -314,16 +307,13 @@ class Simulator:
         self._heap: list[tuple[int, int, int, tuple]] = []
         self._seq = 0
         self._blocking = 0
-        self._busy_since = 0
         self._occ_count = 0
         self._occ_since = 0
         self._occupied_us = 0
-        self._active_tx: list[_ActiveTx] = []
         self._fires: dict[int, list[NodeState]] = {}
         self._outcomes: list[TxOutcome] = []
         # the access timer: the earliest pending_at, or _NEVER
         self._access_at = _NEVER
-        self._idle_at = 0
         self._cache_aifs()
         self._handlers = {
             _EV_TX_END: self._ev_tx_end,
@@ -399,8 +389,7 @@ class Simulator:
 
     def _cache_aifs(self) -> None:
         for node in self.nodes:
-            node.aifs = node.aifs_us(self.medium)
-        self._min_aifs = min(node.aifs for node in self.nodes)
+            node.aifs = self.medium.sifs_us + node.cfg.aifsn * self.medium.obs_slot_us
 
     def _push(self, t: int, kind: int, payload: tuple) -> None:
         self._seq += 1
@@ -423,48 +412,37 @@ class Simulator:
         if self._occ_count == 0:
             self._occupied_us += t - self._occ_since
 
-    def _blocking_start(self, t: int, src: Optional[NodeState]) -> None:
+    def _blocking_start(self, t: int, holds: int = 1) -> None:
         if self._blocking == 0:
-            self._busy_since = t
             self._freeze_pending(t)
-        self._blocking += 1
-        self._occ_start(t)
+        self._blocking += holds
         if not self.cr_lbt_enabled:
             return
-        # Energy appearing inside a committed CR node's listen interval aborts it.
+        # Energy appearing inside a committed CR node's listen interval aborts
+        # it. The new holds are counted first, so the aborts cannot idle the
+        # channel; a node taking a hold is never in its own listen interval.
         for node in self.nodes:
             c = node.commit
-            if c is not None and node is not src and self._in_listen(c, t):
+            if c is not None and self._in_listen(c, t):
                 self._abort_commit(node, t)
 
-    def _blocking_end(self, t: int) -> None:
-        self._blocking -= 1
-        self._occ_end(t)
+    def _blocking_end(self, t: int, holds: int = 1) -> None:
+        self._blocking -= holds
         if self._blocking == 0:
             self._on_idle(t)
 
     def _freeze_pending(self, t: int) -> None:
-        if t - self._idle_at < self._min_aifs and t < self._access_at:
-            # Busy again sooner than the smallest AIFS after going idle (every
-            # CR listen half): no slot was consumed, so the countdowns stay as
-            # they are and _on_idle re-anchors them; only the timer is dropped.
-            # The timer test sends a countdown ending now, which an AIFS raised
-            # mid-countdown allows, down the path below so that it fires.
-            self._access_at = _NEVER
-            return
         for node in self.nodes:
             if node.state != _PENDING or node.pending_at <= t:
                 # an access at exactly t completed its last slot; let it fire
                 continue
-            elapsed = t - node.anchor - node.aifs
-            consumed = 0
-            if elapsed > 0:
-                consumed = min(elapsed // self.medium.obs_slot_us, node.backoff)
-            node.backoff -= consumed
+            # the slots counted down since the node's AIFS ended
+            elapsed = max(t - node.anchor - node.aifs, 0)
+            node.backoff -= min(elapsed // self.medium.obs_slot_us, node.backoff)
             node.state = _DEFER
+        self._arm_access()
 
     def _on_idle(self, t: int) -> None:
-        self._idle_at = t
         slot = self.medium.obs_slot_us
         for node in self.nodes:
             if node.state > _PENDING:  # committed or transmitting
@@ -486,12 +464,13 @@ class Simulator:
         """The access timer: every countdown ending at t, in node-index order.
 
         This is the order one heap entry per node gave. Every pending countdown
-        was anchored at the latest idle transition (a busy start freezes or
-        keeps all of them, and the next idle re-anchors them together), and
-        that transition took the nodes in index order, so equal-time accesses
-        popped in index order by sequence number. Nothing an access schedules
-        lands at t ahead of the remaining accesses: pulse starts sort after
-        them and every other event is later.
+        was anchored at the latest idle transition (a busy start freezes all of
+        them but those ending at that microsecond, a whole CR pulse train is one
+        busy period, and the next idle re-anchors them together), and that
+        transition took the nodes in index order, so equal-time accesses popped
+        in index order by sequence number. Nothing an access schedules lands at
+        t ahead of the remaining accesses: pulse starts sort after them and
+        every other event is later.
         """
         for node in self.nodes:
             if node.state == _PENDING and node.pending_at == t:
@@ -499,11 +478,6 @@ class Simulator:
         self._arm_access()
 
     def _access(self, node: NodeState, t: int) -> None:
-        if self._blocking > 0 and self._busy_since < t:
-            # defensive: countdown should have been frozen already
-            node.state = _DEFER
-            return
-        node.state = _DEFER  # transient; set below
         if node.cfg.tech == Tech.WIFI:
             self._start_tx(node, t)
             return
@@ -527,10 +501,10 @@ class Simulator:
             commit.n_pulses = min(gap // self.medium.cr_slot_us, self.medium.cr_slot_count)
             if commit.n_pulses and len(self._train(t)) == 1:
                 self._push(t, _EV_PULSE_START, (t,))  # first member starts the train
-        elif self.medium.rs_blocks_medium:
-            self._blocking_start(t, node)  # reservation hold that blocks sensing
-        else:
-            self._occ_start(t)  # reservation hold: occupancy accounting only
+            return
+        self._occ_start(t)  # reservation hold
+        if self.medium.rs_blocks_medium:
+            self._blocking_start(t)  # ... that also blocks sensing
 
     def _train(self, t0: int) -> list[NodeState]:
         """The CR nodes pulsing in phase: live commits made at t0, in index order."""
@@ -540,8 +514,16 @@ class Simulator:
         train = self._train(t0)
         if not train:
             return  # all aborted by an out-of-phase train, which only a direct _commit makes
+        if t == t0:
+            # The train's busy period starts: every member holds the channel
+            # until its last pulse ends. No countdown ends inside a train, so
+            # no other commit is live at a later pulse start, and only the
+            # first one runs the freeze and the listen-abort scan.
+            for node in train:
+                node.commit.held = True
+            self._blocking_start(t, len(train))
         for node in train:
-            self._blocking_start(t, node)
+            self._occ_start(t)
         self._push(t + self.medium.cr_slot_us // 2, _EV_PULSE_END, (t0,))
 
     def _ev_pulse_end(self, t: int, t0: int) -> None:
@@ -549,16 +531,20 @@ class Simulator:
         slot = self.medium.cr_slot_us
         half = slot // 2  # the next pulse starts one listen half from now
         for node in train:
-            self._blocking_end(t)
+            self._occ_end(t)
             self._emit(node, TxKind.CR_PULSE, t - half, t)
             node.stats.pulse_us += half
-        # every member's listen interval starts now; energy that persists
-        # after all of the train's pulses have ended aborts them all
-        if self._blocking > 0:
+        # every member's listen interval starts now; energy besides the train's
+        # own holds aborts them all
+        if self._blocking > len(train):
             for node in train:
                 self._abort_commit(node, t)
         elif t + half < t0 + train[0].commit.n_pulses * slot:
             self._push(t + half, _EV_PULSE_START, (t0,))
+        else:  # the last pulse: the train's busy period ends
+            for node in train:
+                node.commit.held = False
+            self._blocking_end(t, len(train))
 
     def _in_listen(self, c: _Commit, t: int) -> bool:
         if t < c.t0 or t >= c.boundary:
@@ -571,21 +557,23 @@ class Simulator:
         return True  # remainder of the gap is pure listening
 
     def _abort_commit(self, node: NodeState, t: int) -> None:
-        self._fires[node.commit.boundary].remove(node)
+        c = node.commit
+        self._fires[c.boundary].remove(node)
         node.commit = None
         node.state = _DEFER
         if self.cr_redraw_on_defer:
             node.backoff = draw_backoff(self.rng, node.cw_current)
         # no BEB advance either way; re-anchors at the next idle transition
+        if c.held:
+            self._blocking_end(t)
 
     def _ev_fire(self, t: int, boundary: int) -> None:
         for node in self._fires.pop(boundary):
             c = node.commit
             if not self.cr_lbt_enabled:
+                self._occ_end(t)
                 if self.medium.rs_blocks_medium:
                     self._blocking_end(t)
-                else:
-                    self._occ_end(t)
                 if t > c.t0:
                     self._emit(node, TxKind.RS, c.t0, t)
                 node.stats.reserve_us += t - c.t0
@@ -598,32 +586,30 @@ class Simulator:
         return node.cfg.mcot_us
 
     def _start_tx(self, node: NodeState, t: int) -> None:
-        dur = self._frame_us(node)
-        collided = len(self._active_tx) > 0
-        for other in self._active_tx:
-            other.collided = True
-        tx = _ActiveTx(node=node, start=t, end=t + dur, collided=collided)
-        self._active_tx.append(tx)
+        node.collided = False
+        for other in self.nodes:
+            if other.state == _TX:
+                other.collided = node.collided = True
         node.state = _TX
-        self._blocking_start(t, node)
-        self._push(t + dur, _EV_TX_END, (node.idx, t))
+        self._occ_start(t)
+        self._blocking_start(t)
+        self._push(t + self._frame_us(node), _EV_TX_END, (node.idx, t))
 
     def _ev_tx_end(self, t: int, idx: int, start: int) -> None:
         node = self.nodes[idx]
-        tx = next(a for a in self._active_tx if a.node is node and a.start == start)
-        self._active_tx.remove(tx)
-        dur = tx.end - tx.start
-        if tx.collided:
+        dur = t - start
+        if node.collided:
             node.stats.collisions += 1
             node.stats.collision_air_us += dur
-            self._emit(node, TxKind.COLLISION, tx.start, t)
+            self._emit(node, TxKind.COLLISION, start, t)
             on_collision(node, self.rng)
         else:
-            delay = tx.start - node.hol_since_us
+            delay = start - node.hol_since_us
             node.stats.successes += 1
             node.stats.success_air_us += dur
             node.stats.delay_sum_us += delay
-            self._emit(node, TxKind.SUCCESS, tx.start, t, delay)
+            self._emit(node, TxKind.SUCCESS, start, t, delay)
             on_success(node, t, self.rng)
         node.state = _DEFER
+        self._occ_end(t)
         self._blocking_end(t)

@@ -142,6 +142,38 @@ def test_invalid_dual_settings_rejected_before_any_run(tmp_path, capsys, dual):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# one out-of-range value for every learner and dual field
+OUT_OF_RANGE = [
+    ("learner", "gamma", 2.0),
+    ("learner", "buffer_capacity", 0),
+    ("learner", "epsilon_start", 1.5),
+    ("learner", "epsilon_end", -0.1),
+    ("learner", "epsilon_anneal_fraction", -0.5),
+    ("learner", "learning_rate", 0.0),
+    ("learner", "batch_size", 0),
+    ("learner", "hidden_layers", [0]),
+    ("learner", "target_sync_interval", 0),
+    ("dual", "lambda_max", -1.0),
+    ("dual", "eta_lambda", 0.0),
+    ("dual", "update_period", 0),
+    ("dual", "kappa", 0.0),
+    ("dual", "alpha_v", 1.5),
+]
+
+
+def test_out_of_range_cases_cover_every_learner_and_dual_field():
+    covered = {(section, key) for section, key, _ in OUT_OF_RANGE}
+    assert covered == ({("learner", f) for f in vars(LearnerConfig())}
+                       | {("dual", f) for f in vars(ExperimentConfig().dual)})
+
+
+@pytest.mark.parametrize("section,key,value", OUT_OF_RANGE)
+def test_out_of_range_learner_and_dual_values_are_refused_by_name(section, key, value):
+    with pytest.raises(ConfigFileError, match=key) as refused:
+        config_from_dict({section: {key: value}})
+    assert section in str(refused.value)
+
+
 def test_unparseable_config(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

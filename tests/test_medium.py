@@ -19,6 +19,7 @@ from coexctl.medium import (
     on_collision,
     on_success,
     NodeState,
+    _PENDING,
 )
 
 
@@ -229,6 +230,10 @@ def test_cr_staggered_commits_resolve_to_single_transmitter():
     assert data[0].start_us == 500
     # the earlier committer heard the later one's first pulse and deferred
     assert data[0].node == b.idx
+    # and gave up its hold on the channel: once b's frame has ended, a's
+    # countdown runs again and it transmits (a leaked hold keeps the channel
+    # busy for good)
+    assert a.idx in {o.node for o in data_outcomes(sim.run_for(10_000))}
 
 
 def test_cr_in_phase_tie_collides_at_boundary():
@@ -715,6 +720,9 @@ def test_invariants_hold_under_random_mixes_and_assignments(run, cr_lbt, rs_bloc
             if settled[node.idx]:
                 assert node.cfg.cw_min <= node.cw_current <= node.cfg.cw_max
         assert 0 <= sim.occupied_us_at() <= sim.clock
+        # the access timer sits exactly at the earliest running countdown
+        assert sim._access_at == min(
+            (node.pending_at for node in sim.nodes if node.state == _PENDING), default=np.inf)
         data.extend(data_outcomes(out))
     for o in data:
         if o.kind == TxKind.SUCCESS:
