@@ -24,9 +24,23 @@ refuses timings where it is not), so no countdown can progress inside a pulse
 train, and the train is one busy period for countdowns: each member holds the
 channel from its first pulse start to its last pulse end (or its abort), while
 occupancy still counts only the pulses. Nodes that pulse in phase are exactly
-those that committed at the same microsecond, and they share one heap event
-per pulse edge. Every running countdown is served by one access timer kept
-beside the heap, always at the earliest countdown end.
+those that committed at the same microsecond; together they are one train.
+
+A train is three heap events: its first pulse start, its first pulse end (the
+listen check) and its last pulse end. The first pulse start aborted every other
+live commit and a data frame started in the same microsecond fails the check,
+so once it passes only a commit injected through _commit can interrupt the
+train. The pulses in between are settled lazily, in time order (occupancy,
+CR_PULSE outcomes, pulse_us): by the last pulse end, at the end of each run_for
+window and when a hold appears. A hold re-plans the train: in a listen half it
+aborts it, inside a pulse it moves the check to that pulse's end. Equal-time
+pulses go in the order they were scheduled, and a train schedules each pulse
+one listen half before it starts, so an injected train's first pulse goes
+before a running train's pulse of the same microsecond exactly when its commit
+was made earlier than that (_Commit.made_at).
+
+Every running countdown is served by one access timer kept beside the heap,
+always at the earliest countdown end.
 """
 
 from __future__ import annotations
@@ -206,8 +220,20 @@ _TX = 3        # data frame in flight
 class _Commit:
     t0: int
     boundary: int
+    made_at: int  # the clock when the commit was made: t0, unless injected
     n_pulses: int = 0
     held: bool = False  # a CR train member's hold on the channel, first pulse to last
+
+
+@dataclass
+class _Train:
+    """CR nodes pulsing in phase (live commits made at t0), from their first pulse on."""
+
+    t0: int
+    members: list["NodeState"]
+    n_pulses: int
+    edges: int = 1  # pulse edges run so far; edge i is at t0 + i * cr_slot_us / 2
+    gen: int = 0    # number of the train's current listen-check event
 
 
 @dataclass
@@ -259,8 +285,9 @@ def on_success(node: NodeState, end_us: int, rng: np.random.Generator) -> NodeSt
 # before pulse starts, so a frame ending exactly at a boundary does not collide
 # with the transmission starting there. The access timer is not a heap entry,
 # but _EV_ACCESS is its rank in this order: after fires, before pulse starts. A
-# pulse end runs its train's listen check only after all of the train's pulses
-# have ended, so in-phase pulses do not abort each other.
+# CR train's pulse-end event runs its listen check only after all of the
+# train's pulses have ended, so in-phase pulses do not abort each other. Pulses
+# settled lazily keep these ranks (see _blocking_start and run_for).
 _EV_TX_END = 0
 _EV_PULSE_END = 1
 _EV_FIRE = 2
@@ -312,6 +339,9 @@ class Simulator:
         self._occupied_us = 0
         self._fires: dict[int, list[NodeState]] = {}
         self._outcomes: list[TxOutcome] = []
+        # the train whose pulses are settled lazily: it passed its listen check
+        # and its next event is its last pulse end
+        self._lazy: Optional[_Train] = None
         # the access timer: the earliest pending_at, or _NEVER
         self._access_at = _NEVER
         self._cache_aifs()
@@ -349,6 +379,8 @@ class Simulator:
                 self._ev_access(t)
             else:
                 break
+        if self._lazy is not None:
+            self._settle(self._lazy, target)
         self.clock = target
         return out
 
@@ -402,13 +434,13 @@ class Simulator:
 
     # -- occupancy / blocking bookkeeping
 
-    def _occ_start(self, t: int) -> None:
+    def _occ_start(self, t: int, n: int = 1) -> None:
         if self._occ_count == 0:
             self._occ_since = t
-        self._occ_count += 1
+        self._occ_count += n
 
-    def _occ_end(self, t: int) -> None:
-        self._occ_count -= 1
+    def _occ_end(self, t: int, n: int = 1) -> None:
+        self._occ_count -= n
         if self._occ_count == 0:
             self._occupied_us += t - self._occ_since
 
@@ -418,6 +450,18 @@ class Simulator:
         self._blocking += holds
         if not self.cr_lbt_enabled:
             return
+        tr = self._lazy
+        if tr is not None:
+            # a hold during a lazily settled train (only a direct _commit makes
+            # one) re-plans it: settled up to now, its end event void, it is
+            # checked at the end of this pulse, or the scan below aborts it
+            self._lazy = None
+            self._settle(tr, t)
+            tr.gen += 1
+            slot = self.medium.cr_slot_us
+            into = (t - tr.t0) % slot
+            if into < slot // 2:
+                self._check(tr, t - into + slot // 2)
         # Energy appearing inside a committed CR node's listen interval aborts
         # it. The new holds are counted first, so the aborts cannot idle the
         # channel; a node taking a hold is never in its own listen interval.
@@ -489,7 +533,7 @@ class Simulator:
             self._commit(node, t, boundary)
 
     def _commit(self, node: NodeState, t: int, boundary: int) -> None:
-        commit = _Commit(t0=t, boundary=boundary)
+        commit = _Commit(t0=t, boundary=boundary, made_at=self.clock)
         node.commit = commit
         node.state = _COMMITTED
         if boundary not in self._fires:
@@ -511,40 +555,69 @@ class Simulator:
         return [node for node in self.nodes if node.commit is not None and node.commit.t0 == t0]
 
     def _ev_pulse_start(self, t: int, t0: int) -> None:
-        train = self._train(t0)
-        if not train:
-            return  # all aborted by an out-of-phase train, which only a direct _commit makes
-        if t == t0:
-            # The train's busy period starts: every member holds the channel
-            # until its last pulse ends. No countdown ends inside a train, so
-            # no other commit is live at a later pulse start, and only the
-            # first one runs the freeze and the listen-abort scan.
-            for node in train:
-                node.commit.held = True
-            self._blocking_start(t, len(train))
-        for node in train:
-            self._occ_start(t)
-        self._push(t + self.medium.cr_slot_us // 2, _EV_PULSE_END, (t0,))
+        """A train's first pulse: its members hold the channel until their last pulse ends."""
+        members = self._train(t0)  # a commit is never aborted before its first pulse
+        half = self.medium.cr_slot_us // 2
+        tr = _Train(t0, members, members[0].commit.n_pulses)
+        for node in members:
+            node.commit.held = True
+        # a running train's pulse starting now was scheduled one listen half
+        # ago; a commit made before that pulses first, so its check goes first
+        first = min(node.commit.made_at for node in members) < t - half
+        if first:
+            self._check(tr, t + half)
+        self._blocking_start(t, len(members))
+        self._occ_start(t, len(members))
+        if not first:
+            self._check(tr, t + half)
 
-    def _ev_pulse_end(self, t: int, t0: int) -> None:
-        train = self._train(t0)
-        slot = self.medium.cr_slot_us
-        half = slot // 2  # the next pulse starts one listen half from now
-        for node in train:
-            self._occ_end(t)
-            self._emit(node, TxKind.CR_PULSE, t - half, t)
-            node.stats.pulse_us += half
+    def _check(self, tr: _Train, t: int) -> None:
+        """Schedule the train's listen check at its pulse end t, voiding any earlier one."""
+        tr.gen += 1
+        self._push(t, _EV_PULSE_END, (tr, tr.gen))
+
+    def _ev_pulse_end(self, t: int, tr: _Train, gen: int) -> None:
+        """The train's listen check at its pulse end t, after settling it up to t."""
+        if gen != tr.gen:
+            return  # replaced by a re-plan, or aborted in a listen half
+        self._lazy = None
+        self._settle(tr, t)
+        half = self.medium.cr_slot_us // 2
         # every member's listen interval starts now; energy besides the train's
         # own holds aborts them all
-        if self._blocking > len(train):
-            for node in train:
+        if self._blocking > len(tr.members):
+            for node in tr.members:
                 self._abort_commit(node, t)
-        elif t + half < t0 + train[0].commit.n_pulses * slot:
-            self._push(t + half, _EV_PULSE_START, (t0,))
+        elif tr.edges < 2 * tr.n_pulses:  # settle the pulses up to the last lazily
+            self._lazy = tr
+            self._check(tr, tr.t0 + (2 * tr.n_pulses - 1) * half)
         else:  # the last pulse: the train's busy period ends
-            for node in train:
+            for node in tr.members:
                 node.commit.held = False
-            self._blocking_end(t, len(train))
+            self._blocking_end(t, len(tr.members))
+
+    def _settle(self, tr: _Train, t: int) -> None:
+        """Run the train's pulse edges up to t, in time order.
+
+        Each pulse start begins the members' occupancy; each pulse end ends it
+        and emits their CR_PULSE outcomes, in index order, and pulse_us.
+        """
+        half = self.medium.cr_slot_us // 2
+        stop = min(2 * tr.n_pulses, (t - tr.t0) // half + 1)
+        m = len(tr.members)
+        ended = 0
+        for i in range(tr.edges, stop):
+            at = tr.t0 + i * half
+            if i % 2 == 0:
+                self._occ_start(at, m)
+            else:
+                self._occ_end(at, m)
+                for node in tr.members:
+                    self._emit(node, TxKind.CR_PULSE, at - half, at)
+                ended += 1
+        for node in tr.members:
+            node.stats.pulse_us += ended * half
+        tr.edges = stop
 
     def _in_listen(self, c: _Commit, t: int) -> bool:
         if t < c.t0 or t >= c.boundary:

@@ -308,3 +308,25 @@ def test_step_signals_equal_a_recount_of_the_outcome_stream(monkeypatch, mode):
             assert info.airtime_ema == ref["ema"]
             assert info.pc1_delay_inst_us == ref["delay"]
     assert len(windows) == 300
+
+
+def test_a_dense_cr_step_pushes_few_heap_events(monkeypatch):
+    # the dense_cr_eval shape: 2+3+3 nodes, CR-LBT, aifsn actions. A CR pulse
+    # train is three heap events whatever its length, not one per pulse edge.
+    kinds = []
+    push = Simulator._push
+
+    def counting(sim, t, kind, payload):
+        kinds.append(kind)
+        push(sim, t, kind, payload)
+
+    monkeypatch.setattr(Simulator, "_push", counting)
+    env = CoexEnv(coex_mix_preset(2, 3, 3), action_mode="aifsn", cr_lbt=True)
+    env.reset(seed=1)
+    for step in range(200):
+        if step == env.episode_steps:
+            env.reset()
+        env.step(step % env.n_actions)
+    half = env.sim.medium.cr_slot_us // 2
+    assert sum(node.stats.pulse_us for node in env.sim.nodes) // half > 10 * 200
+    assert len(kinds) <= 8 * 200

@@ -1,5 +1,6 @@
 """Channel simulator: configuration, backoff, gap behavior, collisions, timing."""
 
+import bisect
 import hashlib
 
 import numpy as np
@@ -234,6 +235,53 @@ def test_cr_staggered_commits_resolve_to_single_transmitter():
     # countdown runs again and it transmits (a leaked hold keeps the channel
     # busy for good)
     assert a.idx in {o.node for o in data_outcomes(sim.run_for(10_000))}
+
+
+def injected_commit_sweep_digest():
+    # The staggered-commit setup (two NR-U nodes that stay off the channel on
+    # their own): node a commits at 34 us, node b at 34 + d for every d up to
+    # three CR slots, which covers b's first pulse landing in a's pulses, in
+    # its listen halves and exactly on its pulse starts. b commits before any
+    # window, or after a first window ending at `split` (while a's train runs;
+    # skipped when b would commit in the past).
+    h = hashlib.sha256()
+    slot = MediumParams().cr_slot_us
+    for split in (None, 35, 43, 44, 45, 51, 52, 53, 61, 79):
+        for d in range(3 * slot + 1):
+            if split is not None and 34 + d < split:
+                continue
+            sim = Simulator(
+                MediumParams(),
+                [
+                    ContenderConfig(Tech.NRU, PClass.PC1, aifsn=500, cw_min=0, cw_max=0,
+                                    mcot_us=2000),
+                    ContenderConfig(Tech.NRU, PClass.PC3, aifsn=500, cw_min=0, cw_max=0,
+                                    mcot_us=2000),
+                ],
+                cr_lbt_enabled=True,
+                seed=0,
+            )
+            a, b = sim.nodes
+
+            def record(outcomes):
+                for o in outcomes:
+                    h.update(f"{o.node},{o.kind.value},{o.start_us},{o.end_us},"
+                             f"{o.access_delay_us}\n".encode())
+                h.update(f"{split},{d},{sim.clock},{sim.occupied_us_at()},"
+                         f"{[vars(s) for s in sim.stats_snapshot()]}\n".encode())
+
+            sim._commit(a, 34, 500)
+            if split is not None:
+                record(sim.run_for(split))
+            sim._commit(b, 34 + d, 500)
+            record(sim.run_for(10_000 - sim.clock))
+    return h.hexdigest()
+
+
+def test_injected_commit_sweep_is_pinned():
+    # computed before a CR pulse train was settled lazily between its events
+    assert (injected_commit_sweep_digest()
+            == "6b17baea93d2f4dd90a49e78e55e73033c76374253ada9f0a11fa4db8bb3d9d6")
 
 
 def test_cr_in_phase_tie_collides_at_boundary():
@@ -652,6 +700,63 @@ def test_random_aifsn_windows_outcome_stream_is_pinned_at_a_12_us_cr_slot():
     medium = MediumParams(cr_slot_us=12, cr_slot_count=40)
     assert (aifsn_windows_digest(medium, cr_lbt=True)
             == "022527b12e52a2674dfd00d2fd95b7bef18830eae8a59034fc83ba6ab8b5a457")
+
+
+def union_us_before(spans, edges):
+    """Length of the union of the [start, end) spans below each edge."""
+    merged = []
+    for s, e in sorted(spans):
+        if merged and s <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    starts = [s for s, _ in merged]
+    done = np.cumsum([0] + [e - s for s, e in merged])  # done[i]: first i segments
+    out = []
+    for edge in edges:
+        i = bisect.bisect_left(starts, edge)
+        out.append(int(done[i - 1]) + min(merged[i - 1][1], edge) - starts[i - 1] if i else 0)
+    return out
+
+
+def test_short_windows_give_the_results_of_one_long_window():
+    # 200 ms of the 2+3+3 CR-LBT mix under one seeded random AIFSN assignment,
+    # run as one window and as random 1-40 us windows, which end inside pulses,
+    # listen halves and the gaps between trains (windows of a multiple of the
+    # 500 us slot boundary never end inside a train)
+    rng = np.random.default_rng(31)
+    assignment = {
+        (Tech.NRU, PClass.PC1): {"aifsn": int(rng.integers(1, 4))},
+        (Tech.NRU, PClass.PC3): {"aifsn": int(rng.integers(1, 8))},
+        (Tech.WIFI, PClass.PC3): {"aifsn": int(rng.integers(1, 8))},
+    }
+    sims = [Simulator(MediumParams(), dense_cr_contenders(), cr_lbt_enabled=True, seed=23)
+            for _ in range(2)]
+    for sim in sims:
+        sim.apply_mac_params(assignment)
+    whole = sims[0].run_for(200_000)
+    short, sim = [], sims[1]
+    edges, occupied, pulse_us = [], [0], 0
+    while sim.clock < 200_000:
+        start = sim.clock
+        out = sim.run_for(min(int(rng.integers(1, 41)), 200_000 - sim.clock))
+        short.extend(out)
+        # a window reports exactly what ended in it
+        assert all(start < o.end_us <= sim.clock for o in out)
+        assert occupied[-1] <= sim.occupied_us_at() <= sim.clock
+        edges.append(sim.clock)
+        occupied.append(sim.occupied_us_at())
+        pulse_us += sum(o.duration_us for o in out if o.kind == TxKind.CR_PULSE)
+        assert sum(n.stats.pulse_us for n in sim.nodes) == pulse_us
+    key = lambda o: (o.node, o.kind, o.start_us, o.end_us, o.access_delay_us)
+    assert [key(o) for o in whole] == [key(o) for o in short]
+    assert sum(o.kind == TxKind.CR_PULSE for o in whole) > 1000
+    assert [vars(s) for s in sims[0].stats_snapshot()] == [vars(s) for s in sim.stats_snapshot()]
+    assert sims[0].clock == sim.clock == 200_000
+    assert sims[0].occupied_us_at() == sim.occupied_us_at()
+    # at every edge, occupancy counts each pulse and frame started by then
+    whole.extend(sims[0].run_for(10_000))  # end what spans the last edge
+    assert occupied[1:] == union_us_before([(o.start_us, o.end_us) for o in whole], edges)
 
 
 # ----------------------------------------------------------------------

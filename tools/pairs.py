@@ -10,7 +10,16 @@ both sides N times. Pair i uses seed i + 1 on both sides; even pairs run the
 parent first, odd pairs the change. Nothing under `perfbench/` and no
 `BENCHMARK.json` is edited: both are read from the extracted trees.
 
-Writes `BENCH_<WORKLOAD>_<parent short sha>.json` in the repository root with,
+Refuses to run while an untracked, non-ignored file sits under `src/`,
+`tools/`, `perfbench/`, `configs/` or `tests/`: it would be left out of the
+change tree, which would then be a different program from the one on disk.
+
+Writes `BENCH_<WORKLOAD>_<parent short sha>.json` in the repository root, or
+`BENCH_<WORKLOAD>_<parent short sha>_control.json` with `"control": true` when
+the working tree runs the same benchmark as the parent (no difference under
+`src/`, `perfbench/` or `configs/`, nor in `BENCHMARK.json` or
+`pyproject.toml`), so a control run measures the host's noise floor and never
+overwrites a claim. The file records the SHA-256 of `git diff PARENT_REF` and,
 for each end-to-end metric, both sides' values, median and quartiles, the
 change/parent ratio of the medians, the pairs the change won (ties count for
 neither), and a verdict against the metric's bound: `worse` when the change's
@@ -24,6 +33,7 @@ go where `tempfile` puts them (set TMPDIR to move them).
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -35,6 +45,10 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# tracked trees and files whose untracked additions would silently go missing
+# from the change tree, and those the benchmark runs
+WATCHED = ("src", "tools", "perfbench", "configs", "tests")
+BENCH_INPUTS = ("src", "perfbench", "configs", "BENCHMARK.json", "pyproject.toml")
 
 
 def git(*args: str, stdout_bytes: bool = False):
@@ -112,7 +126,14 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
 
 
 def main(parent_ref: str, workload: str, n: int) -> int:
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", *WATCHED).splitlines()
+    if untracked:
+        print("untracked files would be left out of the change tree; add or ignore them: "
+              + " ".join(untracked), file=sys.stderr)
+        return 2
     parent_sha = git("rev-parse", "--verify", f"{parent_ref}^{{commit}}")
+    diff = git("diff", "--binary", parent_sha, stdout_bytes=True)
+    control = not git("diff", "--name-only", parent_sha, "--", *BENCH_INPUTS)
     trees = {"parent": unpack(git("archive", "--format=tar", parent_sha, stdout_bytes=True),
                               "parent"),
              "change": unpack(working_tree_tar(), "change")}
@@ -144,6 +165,8 @@ def main(parent_ref: str, workload: str, n: int) -> int:
         "workload": workload,
         "parent": parent_sha,
         "change": f"working tree of {git('rev-parse', 'HEAD')}",
+        "control": control,
+        "diff_sha256": hashlib.sha256(diff).hexdigest(),
         "pairs": n,
         "seeds": [i + 1 for i in range(n)],
         "first": ["parent" if i % 2 == 0 else "change" for i in range(n)],
@@ -157,7 +180,8 @@ def main(parent_ref: str, workload: str, n: int) -> int:
     }
     if not ok:
         report["failed_runs"] = [r for side in runs.values() for r in side if not r["correct"]]
-    path = os.path.join(ROOT, f"BENCH_{workload}_{parent_sha[:7]}.json")
+    suffix = "_control" if control else ""
+    path = os.path.join(ROOT, f"BENCH_{workload}_{parent_sha[:7]}{suffix}.json")
     with open(path, "w") as f:
         json.dump(report, f, indent=1)
         f.write("\n")
