@@ -278,6 +278,8 @@ def read_report(path: str) -> EvalReport:
             line = line.strip()
             if not line:
                 continue
+            if "=" not in line:
+                raise ValueError(f"{path}: report line without '=': {line!r}")
             key, value = line.split("=", 1)
             if key.startswith("collision_probability["):
                 coll[key[len("collision_probability["):-1]] = float(value)
@@ -285,15 +287,15 @@ def read_report(path: str) -> EvalReport:
                 eff[key[len("airtime_efficiency["):-1]] = float(value)
             else:
                 scalars[key] = float(value)
+    names = ("mean_pc1_delay_ms", "p95_pc1_delay_ms", "mean_jfi", "violation_fraction", "d_th_ms")
+    for key in names:
+        if key not in scalars:
+            raise ValueError(f"{path}: report lacks {key}")
     return EvalReport(
         nodes=list(coll),
         collision_probability=coll,
         airtime_efficiency=eff,
-        mean_pc1_delay_ms=scalars["mean_pc1_delay_ms"],
-        p95_pc1_delay_ms=scalars["p95_pc1_delay_ms"],
-        mean_jfi=scalars["mean_jfi"],
-        violation_fraction=scalars["violation_fraction"],
-        d_th_ms=scalars["d_th_ms"],
+        **{key: scalars[key] for key in names},
     )
 
 

@@ -343,6 +343,7 @@ class QLearner:
 
 _ARTIFACT_MAGIC = b"CXQP"
 _ARTIFACT_VERSION = 1
+_ARTIFACT_KEYS = ("version", "obs_dim", "n_actions", "hidden_layers", "shapes", "checksum")
 
 
 def save_policy(path: str, learner: QLearner, meta: dict) -> None:
@@ -392,8 +393,16 @@ def load_policy(path: str) -> PolicyArtifact:
         magic = f.read(4)
         if magic != _ARTIFACT_MAGIC:
             raise ValueError(f"not a policy artifact: {path}")
-        (hlen,) = struct.unpack("<I", f.read(4))
+        prefix = f.read(4)
+        if len(prefix) != 4:
+            raise ValueError(f"policy artifact ends inside its 8-byte prefix: {path}")
+        (hlen,) = struct.unpack("<I", prefix)
         header = json.loads(f.read(hlen).decode())
+        if not isinstance(header, dict):
+            raise ValueError("policy artifact header is not a JSON object")
+        missing = [key for key in _ARTIFACT_KEYS if key not in header]
+        if missing:
+            raise ValueError(f"policy artifact header lacks {', '.join(missing)}")
         if header["version"] != _ARTIFACT_VERSION:
             raise ValueError(f"unsupported artifact version {header['version']}")
         dims = [header["obs_dim"], *header["hidden_layers"], header["n_actions"]]

@@ -26,18 +26,14 @@ channel from its first pulse start to its last pulse end (or its abort), while
 occupancy still counts only the pulses. Nodes that pulse in phase are exactly
 those that committed at the same microsecond; together they are one train.
 
-A train is three heap events: its first pulse start, its first pulse end (the
-listen check) and its last pulse end. The first pulse start aborted every other
-live commit and a data frame started in the same microsecond fails the check,
-so once it passes only a commit injected through _commit can interrupt the
-train. The pulses in between are settled lazily, in time order (occupancy,
-CR_PULSE outcomes, pulse_us): by the last pulse end, at the end of each run_for
-window and when a hold appears. A hold re-plans the train: in a listen half it
-aborts it, inside a pulse it moves the check to that pulse's end. Equal-time
-pulses go in the order they were scheduled, and a train schedules each pulse
-one listen half before it starts, so an injected train's first pulse goes
-before a running train's pulse of the same microsecond exactly when its commit
-was made earlier than that (_Commit.made_at).
+A train starts in the access-timer call where its members commit and is two
+heap events: its first pulse end (the listen check) and its last pulse end.
+Its first pulse freezes every countdown and aborts every other live commit
+(each is in a listen half or its tail), and a data frame still on air at the
+check aborts the train, so no hold can start during a train that passed its
+check. The pulses in between are settled lazily, in time order (occupancy,
+CR_PULSE outcomes, pulse_us): by the last pulse end and at the end of each
+run_for window.
 
 Every running countdown is served by one access timer kept beside the heap,
 always at the earliest countdown end.
@@ -220,7 +216,6 @@ _TX = 3        # data frame in flight
 class _Commit:
     t0: int
     boundary: int
-    made_at: int  # the clock when the commit was made: t0, unless injected
     n_pulses: int = 0
     held: bool = False  # a CR train member's hold on the channel, first pulse to last
 
@@ -233,7 +228,6 @@ class _Train:
     members: list["NodeState"]
     n_pulses: int
     edges: int = 1  # pulse edges run so far; edge i is at t0 + i * cr_slot_us / 2
-    gen: int = 0    # number of the train's current listen-check event
 
 
 @dataclass
@@ -281,18 +275,15 @@ def on_success(node: NodeState, end_us: int, rng: np.random.Generator) -> NodeSt
 
 
 # Heap event kinds; a heap entry is (t, kind, seq, payload), so at equal
-# timestamps the kind sets the order: frees before pulse ends before fires
-# before pulse starts, so a frame ending exactly at a boundary does not collide
-# with the transmission starting there. The access timer is not a heap entry,
-# but _EV_ACCESS is its rank in this order: after fires, before pulse starts. A
-# CR train's pulse-end event runs its listen check only after all of the
-# train's pulses have ended, so in-phase pulses do not abort each other. Pulses
-# settled lazily keep these ranks (see _blocking_start and run_for).
+# timestamps the kind sets the order: frees before pulse ends before fires, so
+# a frame ending exactly at a boundary does not collide with the transmission
+# starting there. The access timer is not a heap entry and goes after all
+# three at equal times. A CR train's pulse-end event runs its listen check
+# only after all of the train's pulses have ended, so in-phase pulses do not
+# abort each other.
 _EV_TX_END = 0
 _EV_PULSE_END = 1
 _EV_FIRE = 2
-_EV_ACCESS = 3
-_EV_PULSE_START = 4
 
 _NEVER = float("inf")  # access timer value while no countdown is running
 
@@ -349,7 +340,6 @@ class Simulator:
             _EV_TX_END: self._ev_tx_end,
             _EV_PULSE_END: self._ev_pulse_end,
             _EV_FIRE: self._ev_fire,
-            _EV_PULSE_START: self._ev_pulse_start,
         }
 
         # Channel idle at t=0: anchor everyone.
@@ -366,9 +356,9 @@ class Simulator:
         out = self._outcomes = []
         heap, handlers = self._heap, self._handlers
         while True:
-            # the heap top or the access timer, whichever is first in (t, kind) order
+            # the heap top or the access timer, which goes last at equal times
             t = self._access_at
-            if heap and (heap[0][0] < t or heap[0][0] == t and heap[0][1] < _EV_ACCESS):
+            if heap and heap[0][0] <= t:
                 if heap[0][0] > target:
                     break
                 t, kind, _, payload = heapq.heappop(heap)
@@ -450,18 +440,6 @@ class Simulator:
         self._blocking += holds
         if not self.cr_lbt_enabled:
             return
-        tr = self._lazy
-        if tr is not None:
-            # a hold during a lazily settled train (only a direct _commit makes
-            # one) re-plans it: settled up to now, its end event void, it is
-            # checked at the end of this pulse, or the scan below aborts it
-            self._lazy = None
-            self._settle(tr, t)
-            tr.gen += 1
-            slot = self.medium.cr_slot_us
-            into = (t - tr.t0) % slot
-            if into < slot // 2:
-                self._check(tr, t - into + slot // 2)
         # Energy appearing inside a committed CR node's listen interval aborts
         # it. The new holds are counted first, so the aborts cannot idle the
         # channel; a node taking a hold is never in its own listen interval.
@@ -513,13 +491,18 @@ class Simulator:
         busy period, and the next idle re-anchors them together), and that
         transition took the nodes in index order, so equal-time accesses popped
         in index order by sequence number. Nothing an access schedules lands at
-        t ahead of the remaining accesses: pulse starts sort after them and
-        every other event is later.
+        t, so the CR commits made here, which pulse in phase, start their train
+        once every access is served.
         """
+        members = []
         for node in self.nodes:
             if node.state == _PENDING and node.pending_at == t:
                 self._access(node, t)
+                if node.commit is not None and node.commit.n_pulses:
+                    members.append(node)
         self._arm_access()
+        if members:
+            self._start_train(t, members)
 
     def _access(self, node: NodeState, t: int) -> None:
         if node.cfg.tech == Tech.WIFI:
@@ -533,7 +516,7 @@ class Simulator:
             self._commit(node, t, boundary)
 
     def _commit(self, node: NodeState, t: int, boundary: int) -> None:
-        commit = _Commit(t0=t, boundary=boundary, made_at=self.clock)
+        commit = _Commit(t0=t, boundary=boundary)
         node.commit = commit
         node.state = _COMMITTED
         if boundary not in self._fires:
@@ -543,43 +526,22 @@ class Simulator:
         if self.cr_lbt_enabled:
             gap = boundary - t
             commit.n_pulses = min(gap // self.medium.cr_slot_us, self.medium.cr_slot_count)
-            if commit.n_pulses and len(self._train(t)) == 1:
-                self._push(t, _EV_PULSE_START, (t,))  # first member starts the train
             return
         self._occ_start(t)  # reservation hold
         if self.medium.rs_blocks_medium:
             self._blocking_start(t)  # ... that also blocks sensing
 
-    def _train(self, t0: int) -> list[NodeState]:
-        """The CR nodes pulsing in phase: live commits made at t0, in index order."""
-        return [node for node in self.nodes if node.commit is not None and node.commit.t0 == t0]
-
-    def _ev_pulse_start(self, t: int, t0: int) -> None:
+    def _start_train(self, t: int, members: list[NodeState]) -> None:
         """A train's first pulse: its members hold the channel until their last pulse ends."""
-        members = self._train(t0)  # a commit is never aborted before its first pulse
-        half = self.medium.cr_slot_us // 2
-        tr = _Train(t0, members, members[0].commit.n_pulses)
+        tr = _Train(t, members, members[0].commit.n_pulses)
         for node in members:
             node.commit.held = True
-        # a running train's pulse starting now was scheduled one listen half
-        # ago; a commit made before that pulses first, so its check goes first
-        first = min(node.commit.made_at for node in members) < t - half
-        if first:
-            self._check(tr, t + half)
         self._blocking_start(t, len(members))
         self._occ_start(t, len(members))
-        if not first:
-            self._check(tr, t + half)
+        self._push(t + self.medium.cr_slot_us // 2, _EV_PULSE_END, (tr,))
 
-    def _check(self, tr: _Train, t: int) -> None:
-        """Schedule the train's listen check at its pulse end t, voiding any earlier one."""
-        tr.gen += 1
-        self._push(t, _EV_PULSE_END, (tr, tr.gen))
-
-    def _ev_pulse_end(self, t: int, tr: _Train, gen: int) -> None:
+    def _ev_pulse_end(self, t: int, tr: _Train) -> None:
         """The train's listen check at its pulse end t, after settling it up to t."""
-        if gen != tr.gen:
-            return  # replaced by a re-plan, or aborted in a listen half
         self._lazy = None
         self._settle(tr, t)
         half = self.medium.cr_slot_us // 2
@@ -590,7 +552,7 @@ class Simulator:
                 self._abort_commit(node, t)
         elif tr.edges < 2 * tr.n_pulses:  # settle the pulses up to the last lazily
             self._lazy = tr
-            self._check(tr, tr.t0 + (2 * tr.n_pulses - 1) * half)
+            self._push(tr.t0 + (2 * tr.n_pulses - 1) * half, _EV_PULSE_END, (tr,))
         else:  # the last pulse: the train's busy period ends
             for node in tr.members:
                 node.commit.held = False

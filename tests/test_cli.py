@@ -84,3 +84,11 @@ def test_episodes_flag_is_train_only(tmp_path, capsys, command):
         main([*command, "--episodes", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --episodes 3" in capsys.readouterr().err
+
+
+def test_truncated_artifact_is_an_error_not_a_traceback(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    artifact = tmp_path / "policy.bin"
+    artifact.write_bytes(b"CXQP")
+    assert main(["evaluate", str(artifact), "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: policy artifact ends inside")

@@ -359,6 +359,28 @@ def test_report_file_roundtrip(tmp_path):
     assert again == report
 
 
+@pytest.mark.parametrize("drop,match", [
+    ("mean_pc1_delay_ms=", "lacks mean_pc1_delay_ms"),
+    ("d_th_ms=", "lacks d_th_ms"),
+])
+def test_report_without_a_scalar_is_refused_by_name(tmp_path, capsys, drop, match):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("\n".join(synthetic_report().to_lines()) + "\n")
+    bad.write_text("".join(line for line in good.read_text().splitlines(keepends=True)
+                           if not line.startswith(drop)))
+    with pytest.raises(ValueError, match=match):
+        read_report(str(bad))
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert match in capsys.readouterr().err
+
+
+def test_report_line_without_equals_is_refused(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(synthetic_report().to_lines()) + "\nmean_jfi 0.5\n")
+    with pytest.raises(ValueError, match="without '='.*mean_jfi 0.5"):
+        read_report(str(path))
+
+
 # ----------------------------------------------------------------------
 # compare
 

@@ -463,3 +463,28 @@ def test_load_policy_rejects_hidden_layers_that_disagree_with_shapes(tmp_path):
     rewrite_artifact(path, edit_header=lambda h: h.update(hidden_layers=[5]))
     with pytest.raises(ValueError, match="shapes"):
         load_policy(str(path))
+
+
+def framed(header):
+    """An artifact prefix (magic, header length) and the given JSON header, no payload."""
+    head = json.dumps(header).encode()
+    return b"CXQP" + struct.pack("<I", len(head)) + head
+
+
+FULL_HEADER = {"version": 1, "obs_dim": 3, "n_actions": 2, "hidden_layers": [],
+               "shapes": [[3, 2], [2]], "checksum": ""}
+
+
+@pytest.mark.parametrize("blob,match", [
+    pytest.param(b"CXQP", "prefix", id="magic_only"),
+    pytest.param(b"CXQP\x05\x00", "prefix", id="short_prefix"),
+    pytest.param(framed([1, 2]), "JSON object", id="list_header"),
+    pytest.param(framed("version"), "JSON object", id="string_header"),
+    *(pytest.param(framed({k: v for k, v in FULL_HEADER.items() if k != key}), f"lacks {key}",
+                   id=f"no_{key}") for key in FULL_HEADER),
+])
+def test_load_policy_refuses_malformed_files_with_value_error(tmp_path, blob, match):
+    path = tmp_path / "policy.bin"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match=match):
+        load_policy(str(path))

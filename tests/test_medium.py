@@ -209,101 +209,24 @@ def test_zero_gap_transmits_immediately_without_rs():
 
 
 def test_cr_staggered_commits_resolve_to_single_transmitter():
-    # inject two commits at different micro-slot phases; exactly one fires
-    sim = Simulator(
-        MediumParams(),
-        [
-            ContenderConfig(Tech.NRU, PClass.PC1, aifsn=500, cw_min=0, cw_max=0, mcot_us=2000),
-            ContenderConfig(Tech.NRU, PClass.PC3, aifsn=500, cw_min=0, cw_max=0, mcot_us=2000),
-        ],
-        cr_lbt_enabled=True,
-        seed=0,
-    )
-    a, b = sim.nodes
-    sim._commit(a, 34, 500)
-    a.state = 2  # committed
-    sim._commit(b, 43, 500)
-    b.state = 2
+    # Node 0 (AIFS 34 us) commits first and pulses five times; node 1 (AIFS
+    # 43 us) resumes once that train ends and its first pulse falls in node
+    # 0's listen tail, so node 0 aborts. The two then take turns until node 1's
+    # train is the last before the 500 us boundary, where it alone transmits.
+    cfg = [
+        ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
+        ContenderConfig(Tech.NRU, PClass.PC3, aifsn=3, cw_min=0, cw_max=0, mcot_us=2000),
+    ]
+    sim = Simulator(MediumParams(cr_slot_count=5), cfg, cr_lbt_enabled=True, seed=0)
     out = sim.run_for(3_000)
-    data = data_outcomes(out)
-    assert len(data) == 1
-    assert data[0].kind == TxKind.SUCCESS
-    assert data[0].start_us == 500
-    # the earlier committer heard the later one's first pulse and deferred
-    assert data[0].node == b.idx
-    # and gave up its hold on the channel: once b's frame has ended, a's
-    # countdown runs again and it transmits (a leaked hold keeps the channel
-    # busy for good)
-    assert a.idx in {o.node for o in data_outcomes(sim.run_for(10_000))}
-
-
-def injected_commit_sweep_digest():
-    # The staggered-commit setup (two NR-U nodes that stay off the channel on
-    # their own): node a commits at 34 us, node b at 34 + d for every d up to
-    # three CR slots, which covers b's first pulse landing in a's pulses, in
-    # its listen halves and exactly on its pulse starts. b commits before any
-    # window, or after a first window ending at `split` (while a's train runs;
-    # skipped when b would commit in the past).
-    h = hashlib.sha256()
-    slot = MediumParams().cr_slot_us
-    for split in (None, 35, 43, 44, 45, 51, 52, 53, 61, 79):
-        for d in range(3 * slot + 1):
-            if split is not None and 34 + d < split:
-                continue
-            sim = Simulator(
-                MediumParams(),
-                [
-                    ContenderConfig(Tech.NRU, PClass.PC1, aifsn=500, cw_min=0, cw_max=0,
-                                    mcot_us=2000),
-                    ContenderConfig(Tech.NRU, PClass.PC3, aifsn=500, cw_min=0, cw_max=0,
-                                    mcot_us=2000),
-                ],
-                cr_lbt_enabled=True,
-                seed=0,
-            )
-            a, b = sim.nodes
-
-            def record(outcomes):
-                for o in outcomes:
-                    h.update(f"{o.node},{o.kind.value},{o.start_us},{o.end_us},"
-                             f"{o.access_delay_us}\n".encode())
-                h.update(f"{split},{d},{sim.clock},{sim.occupied_us_at()},"
-                         f"{[vars(s) for s in sim.stats_snapshot()]}\n".encode())
-
-            sim._commit(a, 34, 500)
-            if split is not None:
-                record(sim.run_for(split))
-            sim._commit(b, 34 + d, 500)
-            record(sim.run_for(10_000 - sim.clock))
-    return h.hexdigest()
-
-
-def test_injected_commit_sweep_is_pinned():
-    # computed before a CR pulse train was settled lazily between its events
-    assert (injected_commit_sweep_digest()
-            == "6b17baea93d2f4dd90a49e78e55e73033c76374253ada9f0a11fa4db8bb3d9d6")
-
-
-def test_cr_in_phase_tie_collides_at_boundary():
-    sim = Simulator(
-        MediumParams(),
-        [
-            ContenderConfig(Tech.NRU, PClass.PC1, aifsn=500, cw_min=0, cw_max=0, mcot_us=2000),
-            ContenderConfig(Tech.NRU, PClass.PC3, aifsn=500, cw_min=0, cw_max=0, mcot_us=2000),
-        ],
-        cr_lbt_enabled=True,
-        seed=0,
-    )
-    a, b = sim.nodes
-    sim._commit(a, 34, 500)
-    a.state = 2
-    sim._commit(b, 34, 500)
-    b.state = 2
-    out = sim.run_for(3_000)
-    data = data_outcomes(out)
-    assert len(data) == 2
-    assert {o.kind for o in data} == {TxKind.COLLISION}
-    assert {o.start_us for o in data} == {500}
+    pulses = [(o.node, o.start_us) for o in out if o.kind == TxKind.CR_PULSE and o.end_us < 500]
+    # each train needs its hold released at its last pulse end, or the other
+    # node's countdown never resumes
+    assert pulses == [(node, t0 + 18 * i) for node, t0 in ((0, 34), (1, 158), (0, 273), (1, 397))
+                      for i in range(5)]
+    assert [(o.node, o.kind, o.start_us, o.end_us) for o in data_outcomes(out)] == [
+        (1, TxKind.SUCCESS, 500, 2500),
+    ]
 
 
 def test_plain_hold_does_not_block_wifi_and_boundary_start_collides():
@@ -567,8 +490,9 @@ def test_cr_redraw_on_defer_switch_changes_dynamics():
 # equal-time event order
 #
 # At one timestamp the event kind sets the order: frame ends, then pulse ends
-# and listen checks, then boundary fires, then accesses, then pulse starts.
-# Each scenario below forces one of those ties with zero-width windows.
+# and listen checks, then boundary fires, then accesses, whose CR commits start
+# their train at once. Each scenario below forces one of those ties with
+# zero-width windows.
 
 
 def nru_then_wifi_448():
@@ -757,6 +681,39 @@ def test_short_windows_give_the_results_of_one_long_window():
     # at every edge, occupancy counts each pulse and frame started by then
     whole.extend(sims[0].run_for(10_000))  # end what spans the last edge
     assert occupied[1:] == union_us_before([(o.start_us, o.end_us) for o in whole], edges)
+
+
+@pytest.mark.parametrize("frame_tx_us", [None, 5])
+def test_no_hold_starts_during_a_train_that_passed_its_check(monkeypatch, frame_tx_us):
+    # A passed train is settled lazily up to its last pulse end, which is exact
+    # only if no frame, hold or other train starts meanwhile. A 5 us frame is
+    # shorter than a listen half, so a frame starting at a train's first pulse
+    # ends before the train's check.
+    blocking_start, pulse_end = Simulator._blocking_start, Simulator._ev_pulse_end
+    passed = []
+
+    def checked_blocking_start(self, t, holds=1):
+        assert self._lazy is None
+        blocking_start(self, t, holds)
+
+    def counted_pulse_end(self, t, tr):
+        pulse_end(self, t, tr)
+        if t == tr.t0 + self.medium.cr_slot_us // 2 and tr.members[0].commit is not None:
+            passed.append(tr)
+
+    monkeypatch.setattr(Simulator, "_blocking_start", checked_blocking_start)
+    monkeypatch.setattr(Simulator, "_ev_pulse_end", counted_pulse_end)
+    rng = np.random.default_rng(2024)
+    sim = Simulator(MediumParams(frame_tx_us=frame_tx_us), dense_cr_contenders(),
+                    cr_lbt_enabled=True, seed=17)
+    for _ in range(80):
+        sim.apply_mac_params({
+            (Tech.NRU, PClass.PC1): {"aifsn": int(rng.integers(1, 4))},
+            (Tech.NRU, PClass.PC3): {"aifsn": int(rng.integers(1, 8))},
+            (Tech.WIFI, PClass.PC3): {"aifsn": int(rng.integers(1, 8))},
+        })
+        sim.run_for(2_500)
+    assert len(passed) > 50
 
 
 # ----------------------------------------------------------------------
