@@ -291,6 +291,13 @@ def read_report(path: str) -> EvalReport:
     for key in names:
         if key not in scalars:
             raise ValueError(f"{path}: report lacks {key}")
+    if set(coll) != set(eff):
+        only_coll, only_eff = sorted(set(coll) - set(eff)), sorted(set(eff) - set(coll))
+        raise ValueError(
+            f"{path}: collision_probability and airtime_efficiency list different nodes"
+            f" (only in collision_probability: {', '.join(only_coll) or 'none'};"
+            f" only in airtime_efficiency: {', '.join(only_eff) or 'none'})"
+        )
     return EvalReport(
         nodes=list(coll),
         collision_probability=coll,

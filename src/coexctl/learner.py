@@ -346,6 +346,25 @@ _ARTIFACT_VERSION = 1
 _ARTIFACT_KEYS = ("version", "obs_dim", "n_actions", "hidden_layers", "shapes", "checksum")
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value > 0
+
+
+def _is_count_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_count, value))
+
+
+# the header values load_policy computes with: what each must be, and its test
+_ARTIFACT_TYPES = {
+    "obs_dim": ("a positive integer", _is_count),
+    "n_actions": ("a positive integer", _is_count),
+    "hidden_layers": ("a list of positive integers", _is_count_list),
+    "shapes": ("a list of lists of positive integers",
+               lambda v: isinstance(v, list) and all(map(_is_count_list, v))),
+    "meta": ("a JSON object", lambda v: isinstance(v, dict)),
+}
+
+
 def save_policy(path: str, learner: QLearner, meta: dict) -> None:
     net = learner.online
     payload = np.ascontiguousarray(net.flat, dtype="<f8")
@@ -405,6 +424,9 @@ def load_policy(path: str) -> PolicyArtifact:
             raise ValueError(f"policy artifact header lacks {', '.join(missing)}")
         if header["version"] != _ARTIFACT_VERSION:
             raise ValueError(f"unsupported artifact version {header['version']}")
+        for key, (kind, ok) in _ARTIFACT_TYPES.items():
+            if key in header and not ok(header[key]):
+                raise ValueError(f"policy artifact header {key} is not {kind}: {header[key]!r}")
         dims = [header["obs_dim"], *header["hidden_layers"], header["n_actions"]]
         shapes = param_shapes(dims)
         if [tuple(shape) for shape in header["shapes"]] != shapes:

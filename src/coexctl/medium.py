@@ -31,9 +31,11 @@ heap events: its first pulse end (the listen check) and its last pulse end.
 Its first pulse freezes every countdown and aborts every other live commit
 (each is in a listen half or its tail), and a data frame still on air at the
 check aborts the train, so no hold can start during a train that passed its
-check. The pulses in between are settled lazily, in time order (occupancy,
-CR_PULSE outcomes, pulse_us): by the last pulse end and at the end of each
-run_for window.
+check: it is the channel's only occupant until its last pulse ends. So the
+pulses after the check are settled in closed form, by the last pulse end and
+at the end of each run_for window: each pulse ended adds its half to occupancy
+and pulse_us, an open pulse sets the occupancy count and start, and their
+CR_PULSE outcomes are built in one batch, in time and node-index order.
 
 Every running countdown is served by one access timer kept beside the heap,
 always at the earliest countdown end.
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -149,18 +151,17 @@ class ContenderConfig:
             raise ConfigError(f"{self.label()}: mcot_us must be > 0, got {self.mcot_us}")
         if self.count < 1:
             raise ConfigError(f"{self.label()}: count must be >= 1, got {self.count}")
-        if medium is not None and medium.frame_tx_us is not None:
-            if medium.frame_tx_us > self.mcot_us:
-                raise ConfigError(
-                    f"{self.label()}: frame_tx_us ({medium.frame_tx_us}) exceeds mcot_us"
-                    f" ({self.mcot_us})"
-                )
+        frame = medium.frame_tx_us if medium is not None else None
+        if frame is not None and frame > self.mcot_us:
+            raise ConfigError(
+                f"{self.label()}: frame_tx_us ({frame}) exceeds mcot_us ({self.mcot_us})"
+            )
 
     def label(self) -> str:
         return f"{self.tech.value}/{self.pclass.value}"
 
 
-@dataclass
+@dataclass(slots=True)
 class TxOutcome:
     """One completed channel event (data frame, reservation hold, or CR pulse)."""
 
@@ -191,7 +192,7 @@ class NodeStats:
 
     def since(self, start: "NodeStats") -> "NodeStats":
         """Counters accumulated after the snapshot start (a window diff)."""
-        return NodeStats(*map(operator.sub, vars(self).values(), vars(start).values()))
+        return NodeStats(*map(operator.sub, _counters(self), _counters(start)))
 
     @property
     def attempts(self) -> int:
@@ -204,6 +205,10 @@ class NodeStats:
         occupied = self.success_air_us + self.collision_air_us + self.reserve_us + self.pulse_us
         return self.success_air_us / occupied if occupied else 0.0
 
+
+# a NodeStats' counters and a ContenderConfig's contents, as tuples in field order
+_counters = operator.attrgetter(*(f.name for f in fields(NodeStats)))
+_cfg_fields = operator.attrgetter(*(f.name for f in fields(ContenderConfig)))
 
 # Node life cycle states.
 _DEFER = 0     # waiting for the channel to go idle
@@ -277,9 +282,8 @@ def on_success(node: NodeState, end_us: int, rng: np.random.Generator) -> NodeSt
 # Heap event kinds; a heap entry is (t, kind, seq, payload), so at equal
 # timestamps the kind sets the order: frees before pulse ends before fires, so
 # a frame ending exactly at a boundary does not collide with the transmission
-# starting there. The access timer is not a heap entry and goes after all
-# three at equal times. A CR train's pulse-end event runs its listen check
-# only after all of the train's pulses have ended, so in-phase pulses do not
+# starting there. The access timer goes after all three at equal times. One
+# pulse-end event serves all of a train's in-phase pulses, so they do not
 # abort each other.
 _EV_TX_END = 0
 _EV_PULSE_END = 1
@@ -330,17 +334,15 @@ class Simulator:
         self._occupied_us = 0
         self._fires: dict[int, list[NodeState]] = {}
         self._outcomes: list[TxOutcome] = []
+        # apply_mac_params' validated configs, by (old config fields, update)
+        self._built_cfgs: dict[tuple, ContenderConfig] = {}
         # the train whose pulses are settled lazily: it passed its listen check
         # and its next event is its last pulse end
         self._lazy: Optional[_Train] = None
         # the access timer: the earliest pending_at, or _NEVER
         self._access_at = _NEVER
         self._cache_aifs()
-        self._handlers = {
-            _EV_TX_END: self._ev_tx_end,
-            _EV_PULSE_END: self._ev_pulse_end,
-            _EV_FIRE: self._ev_fire,
-        }
+        self._handlers = (self._ev_tx_end, self._ev_pulse_end, self._ev_fire)  # by kind
 
         # Channel idle at t=0: anchor everyone.
         self._on_idle(0)
@@ -378,15 +380,20 @@ class Simulator:
         """Update MAC parameters per (tech, pclass); takes effect at next draws.
 
         The whole assignment is validated against the target configs first; on
-        any violation nothing is changed.
+        any violation nothing is changed. Each distinct (config, update) pair is
+        built and validated once per simulator.
         """
         staged: list[tuple[NodeState, ContenderConfig]] = []
         for node in self.nodes:
-            key = (node.cfg.tech, node.cfg.pclass)
-            if key not in assignment:
+            params = assignment.get((node.cfg.tech, node.cfg.pclass))
+            if params is None:
                 continue
-            new_cfg = replace(node.cfg, **assignment[key])
-            new_cfg.validate(self.medium)
+            key = (_cfg_fields(node.cfg), tuple(params.items()))
+            new_cfg = self._built_cfgs.get(key)
+            if new_cfg is None:
+                new_cfg = replace(node.cfg, **params)
+                new_cfg.validate(self.medium)
+                self._built_cfgs[key] = new_cfg
             staged.append((node, new_cfg))
         for node, new_cfg in staged:
             node.cfg = new_cfg
@@ -401,7 +408,7 @@ class Simulator:
         return total
 
     def stats_snapshot(self) -> list[NodeStats]:
-        return [NodeStats(*vars(n.stats).values()) for n in self.nodes]
+        return [NodeStats(*_counters(n.stats)) for n in self.nodes]
 
     def node_names(self) -> list[str]:
         return [n.name for n in self.nodes]
@@ -485,14 +492,10 @@ class Simulator:
     def _ev_access(self, t: int) -> None:
         """The access timer: every countdown ending at t, in node-index order.
 
-        This is the order one heap entry per node gave. Every pending countdown
-        was anchored at the latest idle transition (a busy start freezes all of
-        them but those ending at that microsecond, a whole CR pulse train is one
-        busy period, and the next idle re-anchors them together), and that
-        transition took the nodes in index order, so equal-time accesses popped
-        in index order by sequence number. Nothing an access schedules lands at
-        t, so the CR commits made here, which pulse in phase, start their train
-        once every access is served.
+        Every pending countdown was anchored at the latest idle transition, in
+        index order, so this is the order one heap entry per node gave. Nothing
+        an access schedules lands at t, so the CR commits made here, which pulse
+        in phase, start their train once every access is served.
         """
         members = []
         for node in self.nodes:
@@ -544,52 +547,50 @@ class Simulator:
         """The train's listen check at its pulse end t, after settling it up to t."""
         self._lazy = None
         self._settle(tr, t)
-        half = self.medium.cr_slot_us // 2
-        # every member's listen interval starts now; energy besides the train's
-        # own holds aborts them all
+        # the members' listen half starts: energy besides their own holds aborts them
         if self._blocking > len(tr.members):
             for node in tr.members:
                 self._abort_commit(node, t)
         elif tr.edges < 2 * tr.n_pulses:  # settle the pulses up to the last lazily
             self._lazy = tr
-            self._push(tr.t0 + (2 * tr.n_pulses - 1) * half, _EV_PULSE_END, (tr,))
+            self._push(t + (tr.n_pulses - 1) * self.medium.cr_slot_us, _EV_PULSE_END, (tr,))
         else:  # the last pulse: the train's busy period ends
             for node in tr.members:
                 node.commit.held = False
             self._blocking_end(t, len(tr.members))
 
     def _settle(self, tr: _Train, t: int) -> None:
-        """Run the train's pulse edges up to t, in time order.
+        """Settle the train's pulse edges up to t in closed form (see module docstring).
 
-        Each pulse start begins the members' occupancy; each pulse end ends it
-        and emits their CR_PULSE outcomes, in index order, and pulse_us.
+        Pulse k runs for a half from t0 + k * cr_slot_us; its end is edge 2k + 1.
         """
-        half = self.medium.cr_slot_us // 2
-        stop = min(2 * tr.n_pulses, (t - tr.t0) // half + 1)
-        m = len(tr.members)
-        ended = 0
-        for i in range(tr.edges, stop):
-            at = tr.t0 + i * half
-            if i % 2 == 0:
-                self._occ_start(at, m)
-            else:
-                self._occ_end(at, m)
-                for node in tr.members:
-                    self._emit(node, TxKind.CR_PULSE, at - half, at)
-                ended += 1
-        for node in tr.members:
-            node.stats.pulse_us += ended * half
+        slot = self.medium.cr_slot_us
+        half = slot // 2
+        stop = min(2 * tr.n_pulses, (t - tr.t0) // half + 1)  # edges at or before t
+        first, ended = tr.edges // 2, stop // 2  # pulses first..ended-1 end here
+        if tr.edges == 1:  # the check
+            self._occ_end(tr.t0 + half, len(tr.members))
+        else:
+            self._occupied_us += (ended - first) * half
+            self._occ_count = len(tr.members) * (stop % 2)
+            if stop % 2:
+                self._occ_since = tr.t0 + (stop - 1) * half
         tr.edges = stop
+        keys = [(node.idx, node.cfg.tech, node.cfg.pclass) for node in tr.members]
+        self._outcomes += [
+            TxOutcome(idx, tech, pclass, TxKind.CR_PULSE, start, start + half)
+            for start in range(tr.t0 + first * slot, tr.t0 + ended * slot, slot)
+            for idx, tech, pclass in keys
+        ]
+        for node in tr.members:
+            node.stats.pulse_us += (ended - first) * half
 
     def _in_listen(self, c: _Commit, t: int) -> bool:
         if t < c.t0 or t >= c.boundary:
             return False
-        d = t - c.t0
-        slot = self.medium.cr_slot_us
-        half = slot // 2
-        if d < c.n_pulses * slot:
-            return (d % slot) >= half
-        return True  # remainder of the gap is pure listening
+        d, slot = t - c.t0, self.medium.cr_slot_us
+        # a listen half, or the rest of the gap after the pulses
+        return d >= c.n_pulses * slot or d % slot >= slot // 2
 
     def _abort_commit(self, node: NodeState, t: int) -> None:
         c = node.commit
@@ -616,9 +617,8 @@ class Simulator:
             self._start_tx(node, t)
 
     def _frame_us(self, node: NodeState) -> int:
-        if self.medium.frame_tx_us is not None:
-            return min(self.medium.frame_tx_us, node.cfg.mcot_us)
-        return node.cfg.mcot_us
+        frame = self.medium.frame_tx_us
+        return node.cfg.mcot_us if frame is None else min(frame, node.cfg.mcot_us)
 
     def _start_tx(self, node: NodeState, t: int) -> None:
         node.collided = False

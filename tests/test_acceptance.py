@@ -1,11 +1,15 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
-criterion. Criteria 7 and 8 share two 500-episode desk-scale training runs and
-dominate the runtime (a few minutes each); everything else is seconds.
+criterion. Criteria 7 and 8 share two 500-episode desk-scale training runs,
+which run side by side in two worker processes and dominate the runtime (over
+a minute); everything else is seconds.
 """
 
 import math
+import multiprocessing
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -341,21 +345,32 @@ TRAIN_SEED = 0
 EVAL_SEED = 1000
 
 
+def desk_training_rollout(scaling: bool):
+    """One 500-episode desk training and its greedy evaluation."""
+    env = CoexEnv(coex_mix_preset(), action_mode="cw")
+    result = run_training(env, DualController(), DESK, seed=TRAIN_SEED,
+                          scaling=scaling, episodes=500)
+    eval_env = CoexEnv(coex_mix_preset(), action_mode="cw")
+    return greedy_rollout(
+        eval_env, result.learner.online, DualController(), episodes=50,
+        seed=EVAL_SEED, scaling=scaling,
+    )
+
+
 @pytest.fixture(scope="module")
 def desk_scale_runs():
-    runs = {}
-    for scaling in (True, False):
-        env = CoexEnv(coex_mix_preset(), action_mode="cw")
-        result = run_training(env, DualController(), DESK, seed=TRAIN_SEED,
-                              scaling=scaling, episodes=500)
-        eval_env = CoexEnv(coex_mix_preset(), action_mode="cw")
-        runs[scaling] = greedy_rollout(
-            eval_env, result.learner.online, DualController(), episodes=50,
-            seed=EVAL_SEED, scaling=scaling,
-        )
-    base_env = CoexEnv(coex_mix_preset(), action_mode="cw")
-    runs["baseline"] = greedy_rollout(base_env, None, None, episodes=50, seed=EVAL_SEED)
-    return runs
+    # The two trainings (scaling on and off) run in two spawned worker
+    # processes with one BLAS thread each: at the desk shape a second thread
+    # costs time, and the results are the same bits. A spawned worker's numpy
+    # reads OPENBLAS_NUM_THREADS from the environment it starts with.
+    with mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"):
+        pool = multiprocessing.get_context("spawn").Pool(2)
+    with pool:
+        trained = pool.map_async(desk_training_rollout, (True, False))
+        base_env = CoexEnv(coex_mix_preset(), action_mode="cw")
+        baseline = greedy_rollout(base_env, None, None, episodes=50, seed=EVAL_SEED)
+        on, off = trained.get(timeout=3600)
+    return {True: on, False: off, "baseline": baseline}
 
 
 def test_criterion_7_desk_scale_training_effect(desk_scale_runs):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import pytest
 
@@ -92,3 +93,13 @@ def test_truncated_artifact_is_an_error_not_a_traceback(tmp_path, capsys):
     artifact.write_bytes(b"CXQP")
     assert main(["evaluate", str(artifact), "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("error: policy artifact ends inside")
+
+
+def test_wrong_typed_artifact_header_is_an_error_not_a_traceback(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    head = json.dumps({"version": 1, "obs_dim": 3, "n_actions": 2, "hidden_layers": 5,
+                       "shapes": [], "checksum": ""}).encode()
+    artifact = tmp_path / "policy.bin"
+    artifact.write_bytes(b"CXQP" + struct.pack("<I", len(head)) + head)
+    assert main(["evaluate", str(artifact), "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: policy artifact header hidden_layers")

@@ -381,6 +381,17 @@ def test_report_line_without_equals_is_refused(tmp_path):
         read_report(str(path))
 
 
+def test_report_whose_per_node_sets_differ_is_refused_by_name(tmp_path, capsys):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("\n".join(synthetic_report().to_lines()) + "\n")
+    bad.write_text(good.read_text().replace("airtime_efficiency[ap]", "airtime_efficiency[sta]"))
+    match = "only in collision_probability: ap; only in airtime_efficiency: sta"
+    with pytest.raises(ValueError, match=match):
+        read_report(str(bad))
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert match in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # compare
 

@@ -488,3 +488,22 @@ def test_load_policy_refuses_malformed_files_with_value_error(tmp_path, blob, ma
     path.write_bytes(blob)
     with pytest.raises(ValueError, match=match):
         load_policy(str(path))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("hidden_layers", 5),
+    ("hidden_layers", [4, "8"]),
+    ("hidden_layers", [True]),
+    ("obs_dim", "3"),
+    ("obs_dim", 0),
+    ("n_actions", 2.0),
+    ("n_actions", None),
+    ("shapes", 7),
+    ("shapes", [3, 2]),
+    ("meta", [1]),
+])
+def test_load_policy_refuses_wrong_typed_header_values_by_name(tmp_path, key, value):
+    path = tmp_path / "policy.bin"
+    path.write_bytes(framed({**FULL_HEADER, key: value}))
+    with pytest.raises(ValueError, match=f"header {key} is not"):
+        load_policy(str(path))

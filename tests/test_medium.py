@@ -450,6 +450,34 @@ def test_apply_mac_params_rejects_and_leaves_state():
     assert {n.idx: n.cfg.mcot_us for n in sim.nodes} == before
 
 
+def test_apply_mac_params_reuses_built_configs_and_still_refuses():
+    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=12)
+    pc1 = sim.nodes[0]
+    preset = pc1.cfg
+    sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"aifsn": 1}})
+    built = pc1.cfg
+    sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"aifsn": 2}})  # the preset's value
+    back = pc1.cfg
+    assert back == preset and back is not preset
+    sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"aifsn": 1}})
+    assert pc1.cfg is built  # the same update of the same config: built once
+    sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"aifsn": 2}})
+    assert pc1.cfg is back
+    before = [n.cfg for n in sim.nodes]
+    # a cached update inside a refused assignment changes nothing
+    with pytest.raises(ConfigError, match="aifsn"):
+        sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"aifsn": 1},
+                              (Tech.NRU, PClass.PC3): {"aifsn": 0}})
+    assert [n.cfg for n in sim.nodes] == before and pc1.cfg is back
+    # an update cached as valid on one config is refused on a config it does not fit
+    sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"cw_min": 15}})
+    sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"cw_min": 7, "cw_max": 7}})
+    before = [n.cfg for n in sim.nodes]
+    with pytest.raises(ConfigError, match="cw_max"):
+        sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"cw_min": 15}})
+    assert [n.cfg for n in sim.nodes] == before
+
+
 def test_medium_invariants_validated():
     with pytest.raises(ConfigError):
         MediumParams(cr_slot_count=100).validate()  # 100 * 18 > 500
@@ -681,6 +709,32 @@ def test_short_windows_give_the_results_of_one_long_window():
     # at every edge, occupancy counts each pulse and frame started by then
     whole.extend(sims[0].run_for(10_000))  # end what spans the last edge
     assert occupied[1:] == union_us_before([(o.start_us, o.end_us) for o in whole], edges)
+
+
+def test_each_cr_pulse_outcome_is_half_a_slot_of_its_nodes_pulse_us():
+    # random 1-40 us windows of the 2+3+3 CR-LBT mix end inside pulses, listen
+    # halves and the gaps between trains; per node and window, the CR_PULSE
+    # outcomes and the pulse_us gained count the same pulses
+    rng = np.random.default_rng(5)
+    medium = MediumParams()
+    half = medium.cr_slot_us // 2
+    sim = Simulator(medium, dense_cr_contenders(), cr_lbt_enabled=True, seed=29)
+    pulses = np.zeros(len(sim.nodes), dtype=int)
+    while sim.clock < 100_000:
+        if sim.clock % 2_500 < 40:
+            sim.apply_mac_params({
+                (Tech.NRU, PClass.PC1): {"aifsn": int(rng.integers(1, 4))},
+                (Tech.NRU, PClass.PC3): {"aifsn": int(rng.integers(1, 8))},
+                (Tech.WIFI, PClass.PC3): {"aifsn": int(rng.integers(1, 8))},
+            })
+        before = sim.stats_snapshot()
+        out = sim.run_for(int(rng.integers(1, 41)))
+        counts = np.bincount([o.node for o in out if o.kind == TxKind.CR_PULSE],
+                             minlength=len(sim.nodes))
+        gained = [now.since(start).pulse_us for now, start in zip(sim.stats_snapshot(), before)]
+        assert list(counts * half) == gained
+        pulses += counts
+    assert pulses.sum() > 1000 and np.count_nonzero(pulses) >= 3
 
 
 @pytest.mark.parametrize("frame_tx_us", [None, 5])
