@@ -26,6 +26,7 @@ from .learner import (
     EvalRollout,
     LearnerConfig,
     StepLog,
+    blas_threads_for,
     greedy_rollout,
     load_policy,
     run_training,
@@ -226,14 +227,16 @@ def code_version() -> str:
     return f"coexctl-{__version__}"
 
 
-def write_manifest(path: str, cfg: ExperimentConfig, extra: Optional[dict] = None) -> None:
+def write_manifest(path: str, cfg: ExperimentConfig) -> None:
+    env = cfg.build_env()
+    dims = [env.observation_dim, *cfg.learner.hidden_layers, env.n_actions]
     manifest = {
         "config": config_to_dict(cfg),
         "seed": cfg.seed,
         "code_version": code_version(),
+        # the thread count training runs at: it moves speed, not results
+        "blas_threads": blas_threads_for(dims, cfg.learner.batch_size),
     }
-    if extra:
-        manifest.update(extra)
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")

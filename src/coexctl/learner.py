@@ -10,6 +10,8 @@ trajectories seen in training match execution dynamics.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import struct
@@ -287,6 +289,62 @@ class LearnerConfig:
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+
+# BLAS threads: each rollout sets the count its network's GEMMs run fastest
+# at and leaves it set. OpenBLAS splits a product over blocks of its output,
+# so the float64 results are the same bits at any count; only speed changes.
+
+# One thread is at least as fast while both the largest weight matrix and the
+# largest GEMM stay this small; measured crossover in the README
+_ONE_THREAD_MAX_WEIGHTS = 1 << 15
+_ONE_THREAD_MAX_MACS = 1 << 21
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS as (get, set, its thread count at first use),
+    or None when it or its thread control is not loaded. Found once, since
+    every rollout start asks for it."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "libscipy_openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put, get()
+    return None
+
+
+def blas_threads(count: Optional[int] = None) -> Optional[int]:
+    """The thread count of numpy's bundled OpenBLAS, set to count first when
+    one is given; None, with nothing set, when there is no such control."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    get, put, _ = lib
+    if count is not None:
+        put(count)
+    return get()
+
+
+def blas_threads_for(dims: list[int], batch: int) -> Optional[int]:
+    """The BLAS thread count for an MLP of layer sizes dims run on batch rows:
+    1 where a second thread does not pay, else the library's count at first
+    use; None when there is no thread control."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    weights = max(fan_in * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    if weights <= _ONE_THREAD_MAX_WEIGHTS and batch * weights <= _ONE_THREAD_MAX_MACS:
+        return 1
+    return lib[2]
 
 
 class QLearner:
@@ -582,8 +640,10 @@ def run_training(
     reward, stores the transition and takes one gradient step; the dual keeps
     updating every dual.update_period steps so training matches execution
     dynamics. log_hook sees each step's log entry after its gradient step.
+    The BLAS thread count is set for the train shape (blas_threads_for).
     """
     learner = QLearner(env.observation_dim, env.n_actions, config, seed=seed)
+    blas_threads(blas_threads_for(learner.online.dims, config.batch_size))
     log, _ = _rollout(env, dual, episodes, seed, scaling, learner.act, learner=learner,
                       hard_episode_resets=hard_episode_resets, log_hook=log_hook)
     return TrainResult(learner=learner, log=log)
@@ -611,10 +671,14 @@ def greedy_rollout(
     """Greedy execution (epsilon = 0) with online dual updates and no learning.
 
     With q_net None the environment keeps the preset's default MAC parameters
-    (the fixed-parameter baseline); with dual None lambda stays 0.
+    (the fixed-parameter baseline); with dual None lambda stays 0. A q_net
+    sets the BLAS thread count for its shape at batch 1 (blas_threads_for).
     """
     def act(obs: np.ndarray, eps: float) -> Optional[int]:
         return None if q_net is None else int(np.argmax(q_net.forward(obs)[0]))
+
+    if q_net is not None:
+        blas_threads(blas_threads_for(q_net.dims, 1))
 
     log, start = _rollout(env, dual, episodes, seed, scaling, act)
     names = env.sim.node_names()

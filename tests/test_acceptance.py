@@ -8,8 +8,6 @@ a minute); everything else is seconds.
 
 import math
 import multiprocessing
-import os
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -360,12 +358,9 @@ def desk_training_rollout(scaling: bool):
 @pytest.fixture(scope="module")
 def desk_scale_runs():
     # The two trainings (scaling on and off) run in two spawned worker
-    # processes with one BLAS thread each: at the desk shape a second thread
-    # costs time, and the results are the same bits. A spawned worker's numpy
-    # reads OPENBLAS_NUM_THREADS from the environment it starts with.
-    with mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"):
-        pool = multiprocessing.get_context("spawn").Pool(2)
-    with pool:
+    # processes; run_training sets each to one BLAS thread, the count the
+    # desk shape runs fastest at.
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
         trained = pool.map_async(desk_training_rollout, (True, False))
         base_env = CoexEnv(coex_mix_preset(), action_mode="cw")
         baseline = greedy_rollout(base_env, None, None, episodes=50, seed=EVAL_SEED)

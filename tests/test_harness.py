@@ -28,7 +28,7 @@ from coexctl.harness import (
     read_step_log,
 )
 from coexctl.cli import main
-from coexctl.learner import LearnerConfig
+from coexctl.learner import LearnerConfig, blas_threads
 
 
 def smoke_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -200,6 +200,8 @@ def test_smoke_train_writes_artifact_log_manifest(tmp_path):
     manifest = json.load(open(os.path.join(cfg.out_dir, "manifest.json")))
     assert manifest["seed"] == cfg.seed
     assert manifest["config"]["episodes"] == 2
+    # the thread count a 2x16-wide network trains at: one, or null without control
+    assert manifest["blas_threads"] == (None if blas_threads() is None else 1)
 
 
 def test_five_episode_smoke_preset_writes_500_rows(tmp_path):

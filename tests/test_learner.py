@@ -18,6 +18,8 @@ from coexctl.learner import (
     ReplayBuffer,
     Transition,
     assemble_reward,
+    blas_threads,
+    blas_threads_for,
     epsilon_at,
     load_policy,
     save_policy,
@@ -345,6 +347,89 @@ def test_backward_returns_views_of_the_grad_buffer():
         assert np.shares_memory(g, net.grad)
     assert [g.shape for g in grads_w] == [w.shape for w in net.weights]
     assert [g.shape for g in grads_b] == [b.shape for b in net.biases]
+
+
+# ----------------------------------------------------------------------
+# BLAS threads
+
+DESK_DIMS = [9, 128, 128, 49]  # coex_mix, cw actions, the desk config's hidden layers
+
+
+@pytest.fixture
+def blas_count():
+    """The current BLAS thread count, put back after the test; skips without control."""
+    count = blas_threads()
+    if count is None:
+        pytest.skip("numpy's OpenBLAS exposes no thread control")
+    yield count
+    blas_threads(count)
+
+
+def test_blas_threads_is_a_no_op_when_the_lookup_finds_nothing(monkeypatch):
+    before = blas_threads()
+    with monkeypatch.context() as m:
+        m.setattr(learner_mod, "_openblas", lambda: None)
+        assert blas_threads() is None
+        assert blas_threads(1) is None
+        assert blas_threads_for(DESK_DIMS, 64) is None
+    assert blas_threads() == before
+
+
+def test_thread_policy_is_one_at_the_desk_shape_and_the_default_at_full_scale(monkeypatch):
+    monkeypatch.setattr(learner_mod, "_openblas", lambda: (None, None, 7))  # default 7
+    full = [9, 1024, 1024, 1024, 49]
+    assert blas_threads_for(DESK_DIMS, 64) == 1
+    assert blas_threads_for(DESK_DIMS, 1) == 1
+    assert blas_threads_for(full, 256) == 7
+    assert blas_threads_for(full, 1) == 7
+    # past the measured crossover: wider layers, or the desk width at batch 256
+    assert blas_threads_for([9, 256, 256, 49], 64) == 7
+    assert blas_threads_for(DESK_DIMS, 256) == 7
+
+
+def test_desk_shape_rollouts_run_at_one_blas_thread(blas_count):
+    from coexctl.constraint import DualController
+    from coexctl.env import CoexEnv, coex_mix_preset
+    from coexctl.learner import greedy_rollout, run_training
+
+    env = CoexEnv(coex_mix_preset(), action_mode="cw")
+    config = LearnerConfig(hidden_layers=(128, 128), batch_size=64, buffer_capacity=1000)
+    assert [env.observation_dim, *config.hidden_layers, env.n_actions] == DESK_DIMS
+    blas_threads(2)
+    seen = set()
+    result = run_training(env, DualController(), config, seed=0, episodes=1,
+                          log_hook=lambda entry: seen.add(blas_threads()))
+    assert seen == {1}
+
+    blas_threads(2)
+    net = result.learner.online
+    forward, seen = net.forward, set()
+
+    def spy(x):
+        seen.add(blas_threads())
+        return forward(x)
+
+    net.forward = spy
+    greedy_rollout(env, net, DualController(), episodes=1, seed=0)
+    assert seen == {1}
+
+
+def test_blas_thread_count_does_not_change_the_bits(blas_count):
+    # the per-shape policy rests on this: only the speed depends on the count
+    rng = np.random.default_rng(4)
+    transitions = [Transition(rng.random(9), int(rng.integers(49)), float(rng.random()),
+                              rng.random(9), bool(rng.random() < 0.1)) for _ in range(300)]
+    flats = []
+    for count in (2, 1):
+        blas_threads(count)
+        lrn = QLearner(9, 49, LearnerConfig(hidden_layers=(128, 128), batch_size=64,
+                                            buffer_capacity=300, learning_rate=1e-3), seed=5)
+        for tr in transitions:
+            lrn.buffer.push(tr)
+        for _ in range(50):
+            lrn.train_step()
+        flats.append(lrn.online.flat.tobytes())
+    assert flats[0] == flats[1]
 
 
 # ----------------------------------------------------------------------
