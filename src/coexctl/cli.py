@@ -93,7 +93,7 @@ def main(argv=None) -> int:
             cfg = _build_config(args)
             n = cmd_trace(cfg, args.duration_us, args.trace_out)
             print(f"wrote {n} records to {args.trace_out}")
-    except (ConfigFileError, ValueError, FileNotFoundError) as e:
+    except (ConfigFileError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

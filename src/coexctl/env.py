@@ -10,7 +10,7 @@ when an explicit seed is supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -97,18 +97,7 @@ class StepResult:
     info: met.StepMetrics
 
 
-@dataclass
-class ScenarioPreset:
-    """Contender mix plus medium timing for one experiment scenario."""
-
-    name: str
-    contenders: list[ContenderConfig]
-    medium: MediumParams = field(default_factory=MediumParams)
-
-
-def coex_mix_preset(
-    gnb_pc1: int = 1, gnb_pc3: int = 1, ap_pc3: int = 1, medium: Optional[MediumParams] = None
-) -> ScenarioPreset:
+def coex_mix_preset(gnb_pc1: int = 1, gnb_pc3: int = 1, ap_pc3: int = 1) -> list[ContenderConfig]:
     """Saturated gNB PC1 / gNB PC3 / AP PC3 mix with default MAC parameters."""
     contenders = []
     if gnb_pc1:
@@ -128,38 +117,32 @@ def coex_mix_preset(
         )
     if not contenders:
         raise ConfigError("scenario needs at least one contender")
-    return ScenarioPreset("coex_mix", contenders, medium or MediumParams())
+    return contenders
 
 
-def single_pc1_preset(medium: Optional[MediumParams] = None) -> ScenarioPreset:
+def single_pc1_preset() -> list[ContenderConfig]:
     """Lone gNB PC1 with a deterministic zero-width backoff window."""
-    return ScenarioPreset(
-        "single_pc1",
-        [ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000)],
-        medium or MediumParams(),
-    )
+    return [ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000)]
 
 
 class CoexEnv:
-    """reset/step environment over one simulator instance."""
+    """reset/step environment over one simulator instance on the default medium timings."""
 
     def __init__(
         self,
-        preset: ScenarioPreset,
+        contenders: list[ContenderConfig],
         action_mode: str = "cw",
         cr_lbt: bool = False,
         step_duration_us: int = STEP_DURATION_US,
         episode_steps: int = EPISODE_STEPS,
         d_th_us: float = D_TH_US,
-        actuate_wifi: bool = False,
     ):
-        self.preset = preset
+        self.contenders = contenders
         self.space = ActionSpace.for_mode(action_mode)
         self.cr_lbt = cr_lbt
         self.step_duration_us = step_duration_us
         self.episode_steps = episode_steps
         self.d_th_us = d_th_us
-        self.actuate_wifi = actuate_wifi
         self.sim: Optional[Simulator] = None
         # the action index last applied to self.sim; None on a fresh simulator
         self._applied: Optional[int] = None
@@ -177,7 +160,7 @@ class CoexEnv:
 
     @property
     def n_nodes(self) -> int:
-        return sum(c.count for c in self.preset.contenders)
+        return sum(c.count for c in self.contenders)
 
     @property
     def observation_dim(self) -> int:
@@ -196,15 +179,15 @@ class CoexEnv:
         return self._metrics
 
     def reset(self, seed: Optional[int] = None, lambda0: float = 0.0) -> np.ndarray:
-        """Start an episode; a seed forces a fresh simulator (on the preset's
+        """Start an episode; a seed forces a fresh simulator (on the contenders'
         default MAC parameters), otherwise the medium persists and only
         metrics and the step counter restart."""
         if seed is not None or self.sim is None:
             if seed is None:
                 raise ValueError("first reset requires a seed")
             self.sim = Simulator(
-                self.preset.medium,
-                [replace(c) for c in self.preset.contenders],
+                MediumParams(),
+                [replace(c) for c in self.contenders],
                 cr_lbt_enabled=self.cr_lbt,
                 seed=seed,
             )
@@ -225,13 +208,10 @@ class CoexEnv:
         # applying an assignment twice changes nothing, so a repeat is skipped
         if index == self._applied:
             return
+        # only the gNB (NR-U) classes are actuated; Wi-Fi keeps its preset parameters
         per_class = decode_action(index, self.space)
-        assignment = {}
-        for pclass, params in per_class.items():
-            assignment[(Tech.NRU, pclass)] = params
-            if self.actuate_wifi:
-                assignment[(Tech.WIFI, pclass)] = params
-        self.sim.apply_mac_params(assignment)
+        self.sim.apply_mac_params({(Tech.NRU, pclass): params
+                                   for pclass, params in per_class.items()})
         self._applied = index
 
     def step(self, action: Optional[int]) -> StepResult:
@@ -251,14 +231,9 @@ class CoexEnv:
         occupied = sim.occupied_us_at()
         busy = occupied - self._prev_occupied
         self._prev_occupied = occupied
-        # Routine in-flight waits stay invisible; only starvation-scale ages
-        # (a head-of-line frame older than 4x the threshold) feed the delay
-        # signal, so a collapsed channel cannot read as zero delay.
         pending_age = max(
             (sim.clock - sim.nodes[i].hol_since_us for i in self._pc1), default=0
         )
-        if pending_age <= 4 * self.d_th_us:
-            pending_age = 0
         self._metrics = met.step_metrics(
             window,
             self._pc1,

@@ -276,6 +276,7 @@ def read_report(path: str) -> EvalReport:
     scalars: dict[str, float] = {}
     coll: dict[str, float] = {}
     eff: dict[str, float] = {}
+    per_node = {"collision_probability": coll, "airtime_efficiency": eff}
     with open(path) as f:
         for line in f:
             line = line.strip()
@@ -284,10 +285,11 @@ def read_report(path: str) -> EvalReport:
             if "=" not in line:
                 raise ValueError(f"{path}: report line without '=': {line!r}")
             key, value = line.split("=", 1)
-            if key.startswith("collision_probability["):
-                coll[key[len("collision_probability["):-1]] = float(value)
-            elif key.startswith("airtime_efficiency["):
-                eff[key[len("airtime_efficiency["):-1]] = float(value)
+            metric, _, node = key.partition("[")
+            if metric in per_node:
+                if not node.endswith("]"):
+                    raise ValueError(f"{path}: per-node report line without ']': {line!r}")
+                per_node[metric][node[:-1]] = float(value)
             else:
                 scalars[key] = float(value)
     names = ("mean_pc1_delay_ms", "p95_pc1_delay_ms", "mean_jfi", "violation_fraction", "d_th_ms")
@@ -387,7 +389,6 @@ def cmd_evaluate(
     values as cfg; a mismatch raises ConfigFileError instead of running.
     """
     cfg.validate()
-    episodes = episodes if episodes is not None else cfg.eval_episodes
     artifact = load_policy(artifact_path)
     env = cfg.build_env()
     if artifact.obs_dim != env.observation_dim or artifact.n_actions != env.n_actions:
@@ -402,28 +403,28 @@ def cmd_evaluate(
                 f"artifact was trained with {key}={trained!r} but the config has"
                 f" {key}={getattr(cfg, key)!r}"
             )
-    dual = cfg.dual.controller()
-    rollout = greedy_rollout(
-        env, artifact.network(), dual, episodes=episodes, seed=cfg.seed, scaling=cfg.scaling
-    )
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    report = report_from_rollout(rollout, cfg.d_th_us)
-    report.write(os.path.join(cfg.out_dir, "eval_report.txt"))
-    write_step_log(os.path.join(cfg.out_dir, "eval_log.csv"), rollout.log)
-    return report
+    return _report_rollout(cfg, env, artifact.network(), cfg.dual.controller(), episodes, "eval")
 
 
 def cmd_baseline(cfg: ExperimentConfig, episodes: Optional[int] = None) -> EvalReport:
     """Static default MAC parameters, no learning, no dual updates."""
     cfg.validate()
-    episodes = episodes if episodes is not None else cfg.eval_episodes
-    env = cfg.build_env()
-    rollout = greedy_rollout(env, None, None, episodes=episodes, seed=cfg.seed,
-                             scaling=cfg.scaling)
+    return _report_rollout(cfg, cfg.build_env(), None, None, episodes, "baseline")
+
+
+def _report_rollout(cfg: ExperimentConfig, env: CoexEnv, q_net, dual,
+                    episodes: Optional[int], name: str) -> EvalReport:
+    """Greedy rollout of env; writes <name>_report.txt and <name>_log.csv to cfg.out_dir.
+
+    The output directory is made first, so a bad one fails before any simulation.
+    """
     os.makedirs(cfg.out_dir, exist_ok=True)
+    episodes = episodes if episodes is not None else cfg.eval_episodes
+    rollout = greedy_rollout(env, q_net, dual, episodes=episodes, seed=cfg.seed,
+                             scaling=cfg.scaling)
     report = report_from_rollout(rollout, cfg.d_th_us)
-    report.write(os.path.join(cfg.out_dir, "baseline_report.txt"))
-    write_step_log(os.path.join(cfg.out_dir, "baseline_log.csv"), rollout.log)
+    report.write(os.path.join(cfg.out_dir, f"{name}_report.txt"))
+    write_step_log(os.path.join(cfg.out_dir, f"{name}_log.csv"), rollout.log)
     return report
 
 

@@ -92,10 +92,6 @@ class MediumParams:
     frame_tx_us: Optional[int] = None
     cr_slot_us: int = CR_SLOT_US
     cr_slot_count: int = 27
-    # When True the reservation hold blocks other contenders' countdowns
-    # (exploration switch; the default non-blocking hold is what reproduces
-    # boundary-synchronised collisions under saturation).
-    rs_blocks_medium: bool = False
 
     def validate(self) -> None:
         for name in ("obs_slot_us", "sifs_us", "nru_slot_boundary_us", "cr_slot_us"):
@@ -301,7 +297,6 @@ class Simulator:
         contenders: Iterable[ContenderConfig],
         cr_lbt_enabled: bool = False,
         seed: int = 0,
-        cr_redraw_on_defer: bool = False,
     ):
         contenders = list(contenders)
         if not contenders:
@@ -312,7 +307,6 @@ class Simulator:
 
         self.medium = medium
         self.cr_lbt_enabled = cr_lbt_enabled
-        self.cr_redraw_on_defer = cr_redraw_on_defer
         self.rng = np.random.default_rng(seed)
         self.clock = 0
 
@@ -399,12 +393,11 @@ class Simulator:
             node.cfg = new_cfg
         self._cache_aifs()
 
-    def occupied_us_at(self, t: Optional[int] = None) -> int:
-        """Cumulative channel occupancy (data + holds + pulses) up to time t."""
-        t = self.clock if t is None else t
+    def occupied_us_at(self) -> int:
+        """Cumulative channel occupancy (data + holds + pulses) up to the clock."""
         total = self._occupied_us
-        if self._occ_count > 0 and t > self._occ_since:
-            total += t - self._occ_since
+        if self._occ_count > 0 and self.clock > self._occ_since:
+            total += self.clock - self._occ_since
         return total
 
     def stats_snapshot(self) -> list[NodeStats]:
@@ -531,8 +524,6 @@ class Simulator:
             commit.n_pulses = min(gap // self.medium.cr_slot_us, self.medium.cr_slot_count)
             return
         self._occ_start(t)  # reservation hold
-        if self.medium.rs_blocks_medium:
-            self._blocking_start(t)  # ... that also blocks sensing
 
     def _start_train(self, t: int, members: list[NodeState]) -> None:
         """A train's first pulse: its members hold the channel until their last pulse ends."""
@@ -597,9 +588,7 @@ class Simulator:
         self._fires[c.boundary].remove(node)
         node.commit = None
         node.state = _DEFER
-        if self.cr_redraw_on_defer:
-            node.backoff = draw_backoff(self.rng, node.cw_current)
-        # no BEB advance either way; re-anchors at the next idle transition
+        # no BEB advance and no redraw; re-anchors at the next idle transition
         if c.held:
             self._blocking_end(t)
 
@@ -608,8 +597,6 @@ class Simulator:
             c = node.commit
             if not self.cr_lbt_enabled:
                 self._occ_end(t)
-                if self.medium.rs_blocks_medium:
-                    self._blocking_end(t)
                 if t > c.t0:
                     self._emit(node, TxKind.RS, c.t0, t)
                 node.stats.reserve_us += t - c.t0

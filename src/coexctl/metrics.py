@@ -103,15 +103,17 @@ def step_metrics(
 
     pc1_pending_age_us is the age of the oldest undelivered PC1 head-of-line
     frame at the window edge. A window without PC1 completions carries the
-    previous instantaneous delay, floored by that age: a starving queue whose
-    frame has waited longer than the last measured delay is already worse off,
-    and without the floor a fully collapsed channel would read as zero delay.
+    previous instantaneous delay, floored by that age once it is
+    starvation-scale (above 4 * d_th_us): a starving queue whose frame has
+    waited longer than the last measured delay is already worse off, and
+    without the floor a fully collapsed channel would read as zero delay.
+    Routine in-flight waits stay invisible.
     """
     if window_us <= 0:
         raise ValueError("window_us must be > 0")
 
     # per-node collision rate, carried when a node made no attempts
-    rates = [s.collisions / s.attempts if s.attempts else r
+    rates = [s.collision_probability() if s.attempts else r
              for s, r in zip(window, prev.collision_rate)]
 
     total_succ = sum(s.successes for s in window)
@@ -128,8 +130,10 @@ def step_metrics(
     pc1_succ = sum(window[i].successes for i in pc1_nodes)
     if pc1_succ:
         delay_inst = sum(window[i].delay_sum_us for i in pc1_nodes) / pc1_succ
-    else:
+    elif pc1_pending_age_us > 4 * d_th_us:
         delay_inst = max(prev.pc1_delay_inst_us, float(pc1_pending_age_us))
+    else:
+        delay_inst = prev.pc1_delay_inst_us
     delay_smooth = ema_update(prev.pc1_delay_smooth_us, delay_inst, ALPHA_DELAY)
 
     # Fairness over within-window success airtime. A window that delivered

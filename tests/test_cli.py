@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from coexctl import harness
 from coexctl.cli import main
 
 
@@ -65,6 +66,23 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     path.write_text(json.dumps({"frobnicate": 1}))
     assert main(["train", "--config", str(path)]) == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+def test_config_path_that_is_a_directory_is_an_error(tmp_path, capsys):
+    assert main(["train", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_path_that_is_a_file_fails_before_the_rollout(tmp_path, capsys, monkeypatch):
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("rollout ran before the output directory was made")
+
+    monkeypatch.setattr(harness, "greedy_rollout", no_rollout)
+    cfg = write_cfg(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["baseline", "--config", cfg, "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_artifact_errors(tmp_path):

@@ -190,17 +190,16 @@ def test_mcot_mode_changes_frame_lengths():
             assert node.cfg.mcot_us == 4000
 
 
-def test_wifi_not_actuated_by_default():
-    env = CoexEnv(coex_mix_preset(), action_mode="cw")
+@pytest.mark.parametrize("mode", ["cw", "aifsn", "mcot"])
+def test_wifi_not_actuated_by_default(mode):
+    env = CoexEnv(coex_mix_preset(), action_mode=mode)
     env.reset(seed=10)
+    # the gNB PC3 node and the AP share a class; an action moves only the gNB
+    _, gnb_pc3, ap = env.sim.nodes
+    before = gnb_pc3.cfg, ap.cfg
     env.step(env.space.encode(0, 0))
-    wifi = [n for n in env.sim.nodes if n.cfg.tech.value == "WIFI"][0]
-    assert wifi.cfg.cw_min == 127 and wifi.cfg.cw_max == 255
-    env2 = CoexEnv(coex_mix_preset(), action_mode="cw", actuate_wifi=True)
-    env2.reset(seed=10)
-    env2.step(env2.space.encode(0, 0))
-    wifi2 = [n for n in env2.sim.nodes if n.cfg.tech.value == "WIFI"][0]
-    assert wifi2.cfg.cw_max == 15
+    assert gnb_pc3.cfg != before[0]
+    assert ap.cfg is before[1]
 
 
 def test_repeated_action_is_applied_once_and_again_after_a_seeded_reset(monkeypatch):

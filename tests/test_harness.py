@@ -383,6 +383,13 @@ def test_report_line_without_equals_is_refused(tmp_path):
         read_report(str(path))
 
 
+def test_per_node_report_line_without_closing_bracket_is_refused(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(synthetic_report().to_lines()) + "\ncollision_probability[a=0.1\n")
+    with pytest.raises(ValueError, match=r"without '\]'.*collision_probability\[a=0\.1"):
+        read_report(str(path))
+
+
 def test_report_whose_per_node_sets_differ_is_refused_by_name(tmp_path, capsys):
     good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
     good.write_text("\n".join(synthetic_report().to_lines()) + "\n")

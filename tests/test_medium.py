@@ -247,21 +247,6 @@ def test_plain_hold_does_not_block_wifi_and_boundary_start_collides():
     assert wifi.kind == TxKind.COLLISION and nru.kind == TxKind.COLLISION
 
 
-def test_blocking_rs_variant_freezes_wifi():
-    cfg = [
-        ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
-        ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=4, cw_min=0, cw_max=0, mcot_us=4000),
-    ]
-    sim = Simulator(
-        MediumParams(rs_blocks_medium=True), cfg, seed=0
-    )
-    out = sim.run_for(50_000)
-    for rs in (o for o in out if o.kind == TxKind.RS):
-        for d in data_outcomes(out):
-            if d.tech == Tech.WIFI:
-                assert not (rs.start_us < d.start_us < rs.end_us)
-
-
 def test_cr_pulses_block_wifi_countdown():
     # under CR-LBT the pulse train is real energy: no Wi-Fi start inside a gap
     cfg = [
@@ -495,23 +480,6 @@ def test_node_state_invariants_hold_throughout_run():
             assert 0 <= node.backoff <= node.cw_current <= node.cfg.cw_max
             assert node.cfg.cw_min <= node.cw_current
             assert node.hol_since_us <= sim.clock
-
-
-def test_cr_redraw_on_defer_switch_changes_dynamics():
-    # cross-tech ties abort the gNB commit; with the redraw switch the
-    # deferred node draws a fresh counter instead of keeping zero
-    cfg = [
-        ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=3, cw_max=3, mcot_us=2000),
-        ContenderConfig(Tech.WIFI, PClass.PC1, aifsn=2, cw_min=3, cw_max=3, mcot_us=2000),
-    ]
-    traces = {}
-    for redraw in (False, True):
-        sim = Simulator(
-            MediumParams(), cfg, cr_lbt_enabled=True, seed=21, cr_redraw_on_defer=redraw
-        )
-        out = sim.run_for(3_000_000)
-        traces[redraw] = [(o.node, o.kind, o.start_us) for o in out]
-    assert traces[False] != traces[True]
 
 
 # ----------------------------------------------------------------------
@@ -798,12 +766,10 @@ def random_runs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(run=random_runs(), cr_lbt=st.booleans(), rs_blocks=st.booleans(),
-       seed=st.integers(0, 2**16))
-def test_invariants_hold_under_random_mixes_and_assignments(run, cr_lbt, rs_blocks, seed):
+@given(run=random_runs(), cr_lbt=st.booleans(), seed=st.integers(0, 2**16))
+def test_invariants_hold_under_random_mixes_and_assignments(run, cr_lbt, seed):
     contenders, windows = run
-    sim = Simulator(MediumParams(rs_blocks_medium=rs_blocks), contenders,
-                    cr_lbt_enabled=cr_lbt, seed=seed)
+    sim = Simulator(MediumParams(), contenders, cr_lbt_enabled=cr_lbt, seed=seed)
     # a node's window bounds hold again once it has succeeded or collided
     # after its CW parameters last changed (new values take effect at next draws)
     settled = [True] * len(sim.nodes)

@@ -141,6 +141,11 @@ def test_pending_age_floors_carried_delay():
     # a younger pending frame leaves the carry untouched
     m2 = step_metrics(quiet3(), [0], m, 2500, busy_us=0, pc1_pending_age_us=100.0)
     assert m2.pc1_delay_inst_us == 9999.0
+    # only an age above 4 * d_th_us is starvation-scale and floors the carry
+    for age, inst in ((8000, 0.0), (8001, 8001.0)):
+        m3 = step_metrics(quiet3(), [0], prev, 2500, busy_us=0, d_th_us=2000.0,
+                          pc1_pending_age_us=age)
+        assert m3.pc1_delay_inst_us == inst
 
 
 def test_idle_window_util_zero():

@@ -5,10 +5,11 @@
 Loads `git show REF:src/coexctl/medium.py` as a standalone module (the file
 imports nothing from the package) and runs N seeded random scenarios through
 both `Simulator`s. A scenario draws a contender mix, channel timings,
-`frame_tx_us`, `cr_lbt`, `rs_blocks_medium`, `cr_redraw_on_defer` and a run of
-windows of random length, each preceded by a random assignment of `aifsn`,
-`cw_max` and `mcot_us` per (tech, class). `cw_min` stays at each node's
-starting value, as in the environment's cw mode. After every window it
+`frame_tx_us`, `cr_lbt` and a run of windows of random length, each preceded
+by a random assignment of `aifsn`, `cw_max` and `mcot_us` per (tech, class).
+`cw_min` stays at each node's starting value, as in the environment's cw
+mode. Both simulators are built with the working tree's arguments, so an
+older revision's extra parameters keep their defaults. After every window it
 compares the outcomes, `clock`, `occupied_us_at()`, every node's `NodeStats`
 and its backoff state. It prints the first mismatch and exits 1. Scenarios
 whose timings the working tree refuses are skipped and counted.
@@ -72,11 +73,9 @@ def draw_scenario(rng: np.random.Generator) -> dict:
         windows.append((assignment, int(rng.integers(1, 5001))))
     return {
         "medium": {"obs_slot_us": obs, "sifs_us": sifs, "nru_slot_boundary_us": period,
-                   "frame_tx_us": frame, "cr_slot_us": cr_slot, "cr_slot_count": cr_count,
-                   "rs_blocks_medium": bool(rng.random() < 0.3)},
+                   "frame_tx_us": frame, "cr_slot_us": cr_slot, "cr_slot_count": cr_count},
         "mix": mix,
         "cr_lbt": bool(rng.random() < 0.6),
-        "cr_redraw_on_defer": bool(rng.random() < 0.3),
         "seed": int(rng.integers(2**16)),
         "windows": windows,
     }
@@ -87,8 +86,7 @@ def build(mod, sc: dict):
                                       c["aifsn"], c["cw_min"], c["cw_max"], c["mcot_us"],
                                       c["count"]) for c in sc["mix"]]
     return mod.Simulator(mod.MediumParams(**sc["medium"]), contenders,
-                         cr_lbt_enabled=sc["cr_lbt"], seed=sc["seed"],
-                         cr_redraw_on_defer=sc["cr_redraw_on_defer"])
+                         cr_lbt_enabled=sc["cr_lbt"], seed=sc["seed"])
 
 
 def state(mod, sim, assignment: dict, duration: int):
