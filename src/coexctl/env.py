@@ -128,20 +128,18 @@ def single_pc1_preset() -> list[ContenderConfig]:
 class CoexEnv:
     """reset/step environment over one simulator instance on the default medium timings."""
 
+    episode_steps = EPISODE_STEPS
+
     def __init__(
         self,
         contenders: list[ContenderConfig],
         action_mode: str = "cw",
         cr_lbt: bool = False,
-        step_duration_us: int = STEP_DURATION_US,
-        episode_steps: int = EPISODE_STEPS,
         d_th_us: float = D_TH_US,
     ):
         self.contenders = contenders
         self.space = ActionSpace.for_mode(action_mode)
         self.cr_lbt = cr_lbt
-        self.step_duration_us = step_duration_us
-        self.episode_steps = episode_steps
         self.d_th_us = d_th_us
         self.sim: Optional[Simulator] = None
         # the action index last applied to self.sim; None on a fresh simulator
@@ -219,12 +217,12 @@ class CoexEnv:
         untouched (the fixed-parameter baseline)."""
         if self.sim is None or self._metrics is None:
             raise RuntimeError("reset() must be called before step()")
-        if self._step_count >= self.episode_steps:
+        if self._step_count >= EPISODE_STEPS:
             raise RuntimeError("episode is done; call reset()")
         if action is not None:
             self._apply_action(action)
         sim = self.sim
-        sim.run_for(self.step_duration_us)
+        sim.run_for(STEP_DURATION_US)
         stats = sim.stats_snapshot()
         window = [now.since(before) for now, before in zip(stats, self._prev_stats)]
         self._prev_stats = stats
@@ -238,13 +236,13 @@ class CoexEnv:
             window,
             self._pc1,
             self._metrics,
-            self.step_duration_us,
+            STEP_DURATION_US,
             busy,
             d_th_us=self.d_th_us,
             pc1_pending_age_us=pending_age,
         )
         self._step_count += 1
-        done = self._step_count >= self.episode_steps
+        done = self._step_count >= EPISODE_STEPS
         return StepResult(
             observation=self._observe(),
             f0=self._metrics.jfi,

@@ -2,8 +2,12 @@
 
 File formats, all plain text so diff-based oracles stay trivial:
   - experiment configs and run manifests: JSON (unknown keys rejected, so the
-    removed keys total_episodes, actuate_wifi and cr_redraw_on_defer are too,
-    and every value must have the JSON type of its field's default)
+    removed keys learner.total_episodes, actuate_wifi and cr_redraw_on_defer
+    are too, and so are step_duration_us, episode_steps, learner.gamma and
+    learner.epsilon_{start,end,anneal_fraction}, now constants: 2.5 ms steps,
+    100-step episodes, gamma 0.99, and epsilon from 1.0 to 0.01 over the first
+    half of training; every value must have the JSON type of its field's
+    default)
   - per-step metrics logs and event traces: CSV with a fixed header row
   - evaluation reports: key=value lines, one metric per line
 """
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .constraint import DualController
-from .env import CoexEnv, EPISODE_STEPS, STEP_DURATION_US, coex_mix_preset, single_pc1_preset
+from .env import D_TH_US, CoexEnv, coex_mix_preset, single_pc1_preset
 from .learner import (
     EvalRollout,
     LearnerConfig,
@@ -57,9 +61,7 @@ class ExperimentConfig:
     seed: int = 0
     episodes: int = 10_000
     eval_episodes: int = 50
-    step_duration_us: int = STEP_DURATION_US
-    episode_steps: int = EPISODE_STEPS
-    d_th_us: float = 2000.0
+    d_th_us: float = D_TH_US
     out_dir: str = "runs/default"
     counts: dict = field(default_factory=lambda: {"gnb_pc1": 1, "gnb_pc3": 1, "ap_pc3": 1})
     learner: LearnerConfig = field(default_factory=LearnerConfig)
@@ -75,8 +77,6 @@ class ExperimentConfig:
             raise ConfigFileError("episodes and eval_episodes must be >= 1")
         if self.d_th_us <= 0:
             raise ConfigFileError("d_th_us must be > 0")
-        if self.step_duration_us <= 0 or self.episode_steps < 1:
-            raise ConfigFileError("invalid step/episode durations")
         unknown = set(self.counts) - {"gnb_pc1", "gnb_pc3", "ap_pc3"}
         if unknown:
             raise ConfigFileError(f"unknown scenario count keys: {sorted(unknown)}")
@@ -100,8 +100,6 @@ class ExperimentConfig:
             preset,
             action_mode=self.action_mode,
             cr_lbt=self.cr_lbt,
-            step_duration_us=self.step_duration_us,
-            episode_steps=self.episode_steps,
             d_th_us=self.d_th_us,
         )
 
@@ -334,16 +332,18 @@ def node_display_label(sim_name: str, all_names: list[str]) -> str:
 
 
 def report_from_rollout(rollout: EvalRollout, d_th_us: float) -> EvalReport:
+    """The report of a rollout: per-node counters, and aggregates over its step log."""
     names = list(rollout.node_names)
     labels = {n: node_display_label(n, names) for n in names}
+    delays = [entry.delay_smooth_us for entry in rollout.log]
     return EvalReport(
         nodes=[labels[n] for n in names],
         collision_probability={labels[n]: rollout.collision_probability[n] for n in names},
         airtime_efficiency={labels[n]: rollout.airtime_efficiency[n] for n in names},
-        mean_pc1_delay_ms=float(np.mean(rollout.delays_smooth_us)) / 1000.0,
-        p95_pc1_delay_ms=nearest_rank_percentile(rollout.delays_smooth_us, 95.0) / 1000.0,
-        mean_jfi=float(np.mean(rollout.jfis)),
-        violation_fraction=rollout.violation_fraction,
+        mean_pc1_delay_ms=float(np.mean(delays)) / 1000.0,
+        p95_pc1_delay_ms=nearest_rank_percentile(delays, 95.0) / 1000.0,
+        mean_jfi=float(np.mean([entry.jfi for entry in rollout.log])),
+        violation_fraction=sum(d > d_th_us for d in delays) / len(delays),
         d_th_ms=d_th_us / 1000.0,
     )
 

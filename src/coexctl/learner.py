@@ -41,12 +41,19 @@ def select_action(qvalues: np.ndarray, epsilon: float, rng: np.random.Generator)
     return int(np.argmax(qvalues))
 
 
-def epsilon_at(step: int, total_steps: int, start: float = 1.0, end: float = 0.01,
-               anneal_fraction: float = 0.5) -> float:
-    """Linear anneal from start to end over the first anneal_fraction of steps."""
-    horizon = max(1, int(total_steps * anneal_fraction))
+# discount, and the exploration rate's linear anneal over a training's steps
+GAMMA = 0.99
+EPSILON_START = 1.0
+EPSILON_END = 0.01
+EPSILON_ANNEAL_FRACTION = 0.5
+
+
+def epsilon_at(step: int, total_steps: int) -> float:
+    """Linear anneal from EPSILON_START to EPSILON_END over the first
+    EPSILON_ANNEAL_FRACTION of total_steps, then EPSILON_END."""
+    horizon = max(1, int(total_steps * EPSILON_ANNEAL_FRACTION))
     frac = min(step / horizon, 1.0)
-    return start + (end - start) * frac
+    return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
 
 
 # elements per block of a blocked pass over parameters: 256 KiB of float64, so
@@ -203,15 +210,6 @@ class Adam:
             p -= s1
 
 
-@dataclass
-class Transition:
-    obs: np.ndarray
-    action: int
-    reward: float
-    next_obs: np.ndarray
-    terminal: bool
-
-
 class ReplayBuffer:
     """Bounded FIFO ring of transitions; oldest evicted at capacity."""
 
@@ -230,13 +228,14 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, tr: Transition) -> None:
+    def push(self, obs: np.ndarray, action: int, reward: float, next_obs: np.ndarray,
+             terminal: bool) -> None:
         i = self._next
-        self.obs[i] = tr.obs
-        self.next_obs[i] = tr.next_obs
-        self.actions[i] = tr.action
-        self.rewards[i] = tr.reward
-        self.terminals[i] = tr.terminal
+        self.obs[i] = obs
+        self.next_obs[i] = next_obs
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.terminals[i] = terminal
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -266,11 +265,7 @@ def td_targets(
 
 @dataclass
 class LearnerConfig:
-    gamma: float = 0.99
     buffer_capacity: int = 100_000
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.01
-    epsilon_anneal_fraction: float = 0.5
     learning_rate: float = 1e-5
     batch_size: int = 256
     hidden_layers: tuple = (1024, 1024, 1024)
@@ -278,11 +273,7 @@ class LearnerConfig:
 
     def validate(self) -> None:
         for name, ok, rule in (
-            ("gamma", 0 < self.gamma <= 1, "in (0, 1]"),
             ("buffer_capacity", self.buffer_capacity > 0, "> 0"),
-            ("epsilon_start", 0 <= self.epsilon_start <= 1, "in [0, 1]"),
-            ("epsilon_end", 0 <= self.epsilon_end <= self.epsilon_start, "in [0, epsilon_start]"),
-            ("epsilon_anneal_fraction", 0 <= self.epsilon_anneal_fraction <= 1, "in [0, 1]"),
             ("learning_rate", self.learning_rate > 0, "> 0"),
             ("batch_size", self.batch_size > 0, "> 0"),
             ("target_sync_interval", self.target_sync_interval >= 1, ">= 1"),
@@ -380,7 +371,7 @@ class QLearner:
         obs, actions, rewards, next_obs, terminals = self.buffer.sample(
             self.config.batch_size, self.rng
         )
-        targets = td_targets(rewards, next_obs, terminals, self.target.forward, self.config.gamma)
+        targets = td_targets(rewards, next_obs, terminals, self.target.forward, GAMMA)
         q_all, acts = self.online.forward_cached(obs)
         n = len(actions)
         q_taken = q_all[np.arange(n), actions]
@@ -584,11 +575,7 @@ def _rollout(
         if episode == 0:
             start_stats = env.sim.stats_snapshot()
         for step in range(env.episode_steps):
-            eps = 0.0
-            if learner is not None:
-                cfg = learner.config
-                eps = epsilon_at(len(log), total_steps, cfg.epsilon_start, cfg.epsilon_end,
-                                 cfg.epsilon_anneal_fraction)
+            eps = epsilon_at(len(log), total_steps) if learner is not None else 0.0
             action = act(obs, eps)
             res = env.step(action)
             lam = dual.lam if dual is not None else 0.0
@@ -605,7 +592,7 @@ def _rollout(
                     next_obs = augment_state(res.observation[:-1], dual.lam, dual.lambda_max)
             loss = None
             if learner is not None:
-                learner.buffer.push(Transition(obs, action, reward, next_obs, res.done))
+                learner.buffer.push(obs, action, reward, next_obs, res.done)
                 loss = learner.train_step()
             entry = StepLog(
                 episode=episode, step=step, lam=lam, v=v, v_scaled=v_dual,
@@ -651,13 +638,14 @@ def run_training(
 
 @dataclass
 class EvalRollout:
+    """A greedy rollout's step log and per-node collision probability and
+    airtime efficiency; harness.report_from_rollout derives the aggregates
+    from the log."""
+
     log: list
     node_names: list
     collision_probability: dict
     airtime_efficiency: dict
-    delays_smooth_us: list
-    jfis: list
-    violation_fraction: float
 
 
 def greedy_rollout(
@@ -683,13 +671,9 @@ def greedy_rollout(
     log, start = _rollout(env, dual, episodes, seed, scaling, act)
     names = env.sim.node_names()
     window = [end.since(s0) for s0, end in zip(start, env.sim.stats_snapshot())]
-    delays = [entry.delay_smooth_us for entry in log]
     return EvalRollout(
         log=log,
         node_names=names,
         collision_probability={n: w.collision_probability() for n, w in zip(names, window)},
         airtime_efficiency={n: w.airtime_efficiency() for n, w in zip(names, window)},
-        delays_smooth_us=delays,
-        jfis=[entry.jfi for entry in log],
-        violation_fraction=sum(d > env.d_th_us for d in delays) / len(log),
     )

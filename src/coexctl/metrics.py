@@ -90,7 +90,7 @@ def step_metrics(
     prev: StepMetrics,
     window_us: int,
     busy_us: int,
-    d_th_us: float = 2000.0,
+    d_th_us: float,
     pc1_pending_age_us: float = 0.0,
 ) -> StepMetrics:
     """Fold one window's per-node counters into the next StepMetrics.
@@ -165,7 +165,7 @@ def step_metrics(
     )
 
 
-def build_observation(metrics: StepMetrics, d_th_us: float = 2000.0) -> np.ndarray:
+def build_observation(metrics: StepMetrics, d_th_us: float) -> np.ndarray:
     """Fixed-order feature vector, every entry clipped to [-5, 5].
 
     Layout: [delay_inst/D_th, delay_smooth/D_th, per-node collision rates

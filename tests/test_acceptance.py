@@ -18,13 +18,13 @@ from coexctl.constraint import (
     relative_violation,
     scale_violation,
 )
-from coexctl.env import CoexEnv, single_pc1_preset, coex_mix_preset
+from coexctl.env import D_TH_US, CoexEnv, single_pc1_preset, coex_mix_preset
+from coexctl.harness import report_from_rollout
 from coexctl.learner import (
     LearnerConfig,
     MLP,
     QLearner,
     ReplayBuffer,
-    Transition,
     epsilon_at,
     greedy_rollout,
     run_training,
@@ -312,7 +312,7 @@ def test_criterion_6_learner_oracles():
         pushes = int(rng.integers(0, 40))
         buf = ReplayBuffer(capacity=cap, obs_dim=1)
         for i in range(pushes):
-            buf.push(Transition(np.zeros(1), 0, float(i), np.zeros(1), False))
+            buf.push(np.zeros(1), 0, float(i), np.zeros(1), False)
         fifo_ok &= len(buf) == min(cap, pushes)
         if pushes > cap:
             fifo_ok &= set(buf.rewards.tolist()) == {
@@ -365,14 +365,15 @@ def desk_scale_runs():
         base_env = CoexEnv(coex_mix_preset(), action_mode="cw")
         baseline = greedy_rollout(base_env, None, None, episodes=50, seed=EVAL_SEED)
         on, off = trained.get(timeout=3600)
-    return {True: on, False: off, "baseline": baseline}
+    return {key: report_from_rollout(rollout, D_TH_US)
+            for key, rollout in ((True, on), (False, off), ("baseline", baseline))}
 
 
 def test_criterion_7_desk_scale_training_effect(desk_scale_runs):
     trained = desk_scale_runs[True]
     baseline = desk_scale_runs["baseline"]
     a_ok = trained.violation_fraction < baseline.violation_fraction
-    jfi_t, jfi_b = float(np.mean(trained.jfis)), float(np.mean(baseline.jfis))
+    jfi_t, jfi_b = trained.mean_jfi, baseline.mean_jfi
     b_ok = jfi_t >= 0.9 * jfi_b
     _report(7, "500-episode CW training lowers the violation fraction below"
                " baseline and keeps mean JFI >= 0.9x baseline",

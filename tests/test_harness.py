@@ -28,6 +28,7 @@ from coexctl.harness import (
     read_step_log,
 )
 from coexctl.cli import main
+from coexctl.env import EPISODE_STEPS
 from coexctl.learner import LearnerConfig, blas_threads
 
 
@@ -58,14 +59,11 @@ def test_full_scale_defaults_preset_loads():
     assert cfg.dual.lambda_max == 5.0
     assert cfg.dual.update_period == 5
     assert cfg.dual.eta_lambda == 0.05
-    assert cfg.learner.gamma == 0.99
     assert cfg.learner.buffer_capacity == 100_000
     assert cfg.learner.learning_rate == 1e-5
     assert cfg.learner.batch_size == 256
     assert cfg.learner.hidden_layers == (1024, 1024, 1024)
     assert cfg.episodes == 10_000
-    assert cfg.episode_steps == 100
-    assert cfg.step_duration_us == 2500
 
 
 @pytest.mark.parametrize(
@@ -144,11 +142,7 @@ def test_invalid_dual_settings_rejected_before_any_run(tmp_path, capsys, dual):
 
 # one out-of-range value for every learner and dual field
 OUT_OF_RANGE = [
-    ("learner", "gamma", 2.0),
     ("learner", "buffer_capacity", 0),
-    ("learner", "epsilon_start", 1.5),
-    ("learner", "epsilon_end", -0.1),
-    ("learner", "epsilon_anneal_fraction", -0.5),
     ("learner", "learning_rate", 0.0),
     ("learner", "batch_size", 0),
     ("learner", "hidden_layers", [0]),
@@ -174,6 +168,40 @@ def test_out_of_range_learner_and_dual_values_are_refused_by_name(section, key, 
     assert section in str(refused.value)
 
 
+# keys the config format once had, each at its old default: refused by name
+# rather than ignored, so a config written for another meaning fails loudly
+RETIRED_KEYS = {
+    "step_duration_us": 2500,
+    "episode_steps": 100,
+    "learner.gamma": 0.99,
+    "learner.epsilon_start": 1.0,
+    "learner.epsilon_end": 0.01,
+    "learner.epsilon_anneal_fraction": 0.5,
+    "learner.total_episodes": 10_000,
+    "actuate_wifi": False,
+    "cr_redraw_on_defer": False,
+}
+
+
+@pytest.mark.parametrize("key,value", RETIRED_KEYS.items(), ids=list(RETIRED_KEYS))
+def test_retired_key_is_refused_by_name(tmp_path, capsys, key, value):
+    section, _, name = key.rpartition(".")
+    out_dir = tmp_path / "out"
+    data = {"eval_episodes": 1, "out_dir": str(out_dir)}
+    if section:
+        data[section] = {name: value}
+    else:
+        data[name] = value
+    path = tmp_path / "retired.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigFileError, match=f"unknown key '{name}'"):
+        load_config(str(path))
+    assert main(["baseline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert not out_dir.exists()
+
+
 def test_unparseable_config(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -196,7 +224,7 @@ def test_smoke_train_writes_artifact_log_manifest(tmp_path):
     artifact, log = cmd_train(cfg)
     assert os.path.exists(artifact)
     rows = read_step_log(log)
-    assert len(rows) == cfg.episodes * cfg.episode_steps
+    assert len(rows) == cfg.episodes * EPISODE_STEPS
     manifest = json.load(open(os.path.join(cfg.out_dir, "manifest.json")))
     assert manifest["seed"] == cfg.seed
     assert manifest["config"]["episodes"] == 2

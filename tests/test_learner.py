@@ -16,7 +16,6 @@ from coexctl.learner import (
     MLP,
     QLearner,
     ReplayBuffer,
-    Transition,
     assemble_reward,
     blas_threads,
     blas_threads_for,
@@ -139,7 +138,7 @@ def test_td_targets_match_bellman_oracle_on_two_state_chain():
 def test_buffer_fifo_eviction():
     buf = ReplayBuffer(capacity=5, obs_dim=2)
     for i in range(8):
-        buf.push(Transition(np.zeros(2), 0, float(i), np.zeros(2), False))
+        buf.push(np.zeros(2), 0, float(i), np.zeros(2), False)
     assert len(buf) == 5
     assert sorted(buf.rewards.tolist()) == [3.0, 4.0, 5.0, 6.0, 7.0]
 
@@ -149,7 +148,7 @@ def test_buffer_fifo_eviction():
 def test_buffer_size_never_exceeds_capacity(capacity, pushes):
     buf = ReplayBuffer(capacity=capacity, obs_dim=1)
     for i in range(pushes):
-        buf.push(Transition(np.zeros(1), 0, float(i), np.zeros(1), False))
+        buf.push(np.zeros(1), 0, float(i), np.zeros(1), False)
     assert len(buf) == min(capacity, pushes)
     if pushes > capacity:
         kept = set(buf.rewards.tolist())
@@ -183,9 +182,9 @@ def test_target_initialized_as_copy_and_sync_idempotent():
 def test_train_step_noop_until_batch_available():
     lrn = QLearner(obs_dim=3, n_actions=2, config=tiny_config(batch_size=8), seed=0)
     for i in range(7):
-        lrn.buffer.push(Transition(np.zeros(3), 0, 1.0, np.zeros(3), True))
+        lrn.buffer.push(np.zeros(3), 0, 1.0, np.zeros(3), True)
         assert lrn.train_step() is None
-    lrn.buffer.push(Transition(np.zeros(3), 0, 1.0, np.zeros(3), True))
+    lrn.buffer.push(np.zeros(3), 0, 1.0, np.zeros(3), True)
     assert lrn.train_step() is not None
 
 
@@ -193,9 +192,8 @@ def test_loss_nonnegative():
     lrn = QLearner(obs_dim=3, n_actions=4, config=tiny_config(), seed=3)
     rng = np.random.default_rng(4)
     for _ in range(20):
-        lrn.buffer.push(Transition(rng.normal(size=3), int(rng.integers(4)),
-                                   float(rng.normal()), rng.normal(size=3),
-                                   bool(rng.integers(2))))
+        lrn.buffer.push(rng.normal(size=3), int(rng.integers(4)),
+                        float(rng.normal()), rng.normal(size=3), bool(rng.integers(2)))
     for _ in range(50):
         assert lrn.train_step() >= 0.0
 
@@ -205,7 +203,7 @@ def test_fixed_transition_td_error_converges():
                    config=tiny_config(batch_size=4, learning_rate=5e-2), seed=5)
     obs = np.array([1.0, -1.0])
     for _ in range(8):
-        lrn.buffer.push(Transition(obs, 1, 0.5, np.zeros(2), True))
+        lrn.buffer.push(obs, 1, 0.5, np.zeros(2), True)
     for _ in range(500):
         lrn.train_step()
     assert abs(lrn.q_values(obs)[1] - 0.5) < 1e-3
@@ -417,15 +415,15 @@ def test_desk_shape_rollouts_run_at_one_blas_thread(blas_count):
 def test_blas_thread_count_does_not_change_the_bits(blas_count):
     # the per-shape policy rests on this: only the speed depends on the count
     rng = np.random.default_rng(4)
-    transitions = [Transition(rng.random(9), int(rng.integers(49)), float(rng.random()),
-                              rng.random(9), bool(rng.random() < 0.1)) for _ in range(300)]
+    transitions = [(rng.random(9), int(rng.integers(49)), float(rng.random()),
+                    rng.random(9), bool(rng.random() < 0.1)) for _ in range(300)]
     flats = []
     for count in (2, 1):
         blas_threads(count)
         lrn = QLearner(9, 49, LearnerConfig(hidden_layers=(128, 128), batch_size=64,
                                             buffer_capacity=300, learning_rate=1e-3), seed=5)
         for tr in transitions:
-            lrn.buffer.push(tr)
+            lrn.buffer.push(*tr)
         for _ in range(50):
             lrn.train_step()
         flats.append(lrn.online.flat.tobytes())

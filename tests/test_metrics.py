@@ -105,7 +105,7 @@ def test_collision_rate_counting_oracle():
         NodeStats(successes=1, success_air_us=100, delay_sum_us=10),
         NodeStats(),
     ]
-    m = step_metrics(window, [], prev, 2500, busy_us=0)
+    m = step_metrics(window, [], prev, 2500, busy_us=0, d_th_us=2000.0)
     assert m.collision_rate[0] == pytest.approx(0.75)
     assert m.collision_rate[1] == 0.0
     assert m.collision_rate[2] == prev.collision_rate[2]  # no attempts: carried
@@ -115,9 +115,9 @@ def test_delay_carry_rule():
     prev = initial3()
     window = [NodeStats(successes=1, success_air_us=100, delay_sum_us=777), NodeStats(),
               NodeStats()]
-    m1 = step_metrics(window, [0], prev, 2500, busy_us=0)
+    m1 = step_metrics(window, [0], prev, 2500, busy_us=0, d_th_us=2000.0)
     assert m1.pc1_delay_inst_us == 777
-    m2 = step_metrics(quiet3(), [0], m1, 2500, busy_us=0)
+    m2 = step_metrics(quiet3(), [0], m1, 2500, busy_us=0, d_th_us=2000.0)
     assert m2.pc1_delay_inst_us == 777  # carried
     assert m2.pc1_delay_smooth_us == pytest.approx(
         0.2 * 777 + 0.8 * m1.pc1_delay_smooth_us
@@ -130,16 +130,18 @@ def test_pc1_delay_is_the_mean_over_pc1_successes_only():
         NodeStats(successes=5, success_air_us=500, delay_sum_us=99_999),  # PC3
         NodeStats(successes=1, success_air_us=100, delay_sum_us=400),
     ]
-    m = step_metrics(window, [0, 2], initial3(), 2500, busy_us=0)
+    m = step_metrics(window, [0, 2], initial3(), 2500, busy_us=0, d_th_us=2000.0)
     assert m.pc1_delay_inst_us == float(np.mean([100, 200, 400]))
 
 
 def test_pending_age_floors_carried_delay():
     prev = initial3()
-    m = step_metrics(quiet3(), [0], prev, 2500, busy_us=0, pc1_pending_age_us=9999.0)
+    m = step_metrics(quiet3(), [0], prev, 2500, busy_us=0, d_th_us=2000.0,
+                     pc1_pending_age_us=9999.0)
     assert m.pc1_delay_inst_us == 9999.0
     # a younger pending frame leaves the carry untouched
-    m2 = step_metrics(quiet3(), [0], m, 2500, busy_us=0, pc1_pending_age_us=100.0)
+    m2 = step_metrics(quiet3(), [0], m, 2500, busy_us=0, d_th_us=2000.0,
+                      pc1_pending_age_us=100.0)
     assert m2.pc1_delay_inst_us == 9999.0
     # only an age above 4 * d_th_us is starvation-scale and floors the carry
     for age, inst in ((8000, 0.0), (8001, 8001.0)):
@@ -151,7 +153,7 @@ def test_pending_age_floors_carried_delay():
 def test_idle_window_util_zero():
     # util is the occupancy integral's share of the window, clipped at 1.0
     for busy_us in (0, 1700, 2500, 2600):
-        m = step_metrics(quiet3(), [], initial3(), 2500, busy_us=busy_us)
+        m = step_metrics(quiet3(), [], initial3(), 2500, busy_us=busy_us, d_th_us=2000.0)
         assert m.airtime_util == min(busy_us / 2500, 1.0)
     assert m.airtime_util == 1.0
 
@@ -163,7 +165,7 @@ def test_jfi_within_window_shares_and_smoothed_tracking():
         NodeStats(successes=1, success_air_us=1000, delay_sum_us=1),
         NodeStats(),
     ]
-    m1 = step_metrics(window, [], prev, 2500, busy_us=0)
+    m1 = step_metrics(window, [], prev, 2500, busy_us=0, d_th_us=2000.0)
     assert m1.jfi == pytest.approx(jain_index([1000, 1000, 0]))
     # smoothed per-node shares carried for reporting: 0.2*[1000, 1000, 0]
     assert m1.airtime_ema == [200.0, 200.0, 0.0]
@@ -172,7 +174,7 @@ def test_jfi_within_window_shares_and_smoothed_tracking():
 def test_jfi_floors_at_1_over_n_when_nothing_delivers():
     m = initial3()
     window = [NodeStats(), NodeStats(), NodeStats(collisions=1, collision_air_us=500)]
-    m2 = step_metrics(window, [], m, 2500, busy_us=0)
+    m2 = step_metrics(window, [], m, 2500, busy_us=0, d_th_us=2000.0)
     assert m2.jfi == pytest.approx(1.0 / 3.0)  # nothing delivered: least fair
 
 
@@ -180,7 +182,7 @@ def test_trend_is_fast_minus_slow():
     prev = initial3()
     window = [NodeStats(collisions=1, collision_air_us=100),
               NodeStats(successes=1, success_air_us=100), NodeStats()]
-    m = step_metrics(window, [], prev, 2500, busy_us=0)
+    m = step_metrics(window, [], prev, 2500, busy_us=0, d_th_us=2000.0)
     agg = 0.5
     assert m.coll_ema_fast == pytest.approx(0.3 * agg)
     assert m.coll_ema_slow == pytest.approx(0.05 * agg)
@@ -210,14 +212,14 @@ def test_observation_anchor_at_threshold():
 
 def test_observation_layout_and_dim():
     m = initial3()
-    obs = build_observation(m)
+    obs = build_observation(m, d_th_us=2000.0)
     assert obs.shape == (observation_dim(3),)
     assert obs.shape == (8,)
 
 
 def test_observation_all_quiet_is_zero():
     m = StepMetrics.initial(2)
-    obs = build_observation(m)
+    obs = build_observation(m, d_th_us=2000.0)
     assert np.all(obs == 0.0)
 
 
@@ -234,7 +236,7 @@ def test_observation_always_finite_and_clipped(d1, d2, trend, rates):
     m.pc1_delay_smooth_us = d2
     m.collision_trend = trend
     m.collision_rate = rates
-    obs = build_observation(m)
+    obs = build_observation(m, d_th_us=2000.0)
     assert np.all(np.isfinite(obs))
     assert np.all(obs <= 5.0) and np.all(obs >= -5.0)
 
