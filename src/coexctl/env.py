@@ -10,7 +10,7 @@ when an explicit seed is supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,6 @@ from .constraint import DualController, augment_state
 from .medium import (
     ConfigError,
     ContenderConfig,
-    MediumParams,
     PClass,
     Simulator,
     Tech,
@@ -183,12 +182,7 @@ class CoexEnv:
         if seed is not None or self.sim is None:
             if seed is None:
                 raise ValueError("first reset requires a seed")
-            self.sim = Simulator(
-                MediumParams(),
-                [replace(c) for c in self.contenders],
-                cr_lbt_enabled=self.cr_lbt,
-                seed=seed,
-            )
+            self.sim = Simulator(self.contenders, cr_lbt_enabled=self.cr_lbt, seed=seed)
             self._applied = None
             self._pc1 = [n.idx for n in self.sim.nodes if n.cfg.pclass == PClass.PC1]
         self._step_count = 0

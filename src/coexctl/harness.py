@@ -38,13 +38,16 @@ from .learner import (
 )
 
 
+COUNT_KEYS = ("gnb_pc1", "gnb_pc3", "ap_pc3")  # coex_mix node counts, by preset argument
+
+
 @dataclass
 class DualConfig:
-    lambda_max: float = 5.0
-    eta_lambda: float = 0.05
-    update_period: int = 5
-    kappa: float = 0.5
-    alpha_v: float = 0.2
+    lambda_max: float = DualController.lambda_max
+    eta_lambda: float = DualController.eta_lambda
+    update_period: int = DualController.update_period
+    kappa: float = DualController.kappa
+    alpha_v: float = DualController.alpha_v
 
     def controller(self) -> DualController:
         return DualController(**asdict(self))
@@ -77,9 +80,13 @@ class ExperimentConfig:
             raise ConfigFileError("episodes and eval_episodes must be >= 1")
         if self.d_th_us <= 0:
             raise ConfigFileError("d_th_us must be > 0")
-        unknown = set(self.counts) - {"gnb_pc1", "gnb_pc3", "ap_pc3"}
+        if self.seed < 0:
+            raise ConfigFileError(f"seed must be >= 0, got {self.seed}")
+        unknown = set(self.counts) - set(COUNT_KEYS)
         if unknown:
             raise ConfigFileError(f"unknown scenario count keys: {sorted(unknown)}")
+        if self.scenario == "coex_mix" and not any(self.node_counts().values()):
+            raise ConfigFileError("counts: a coex_mix needs at least one node, all three are 0")
         for section, check in (("learner", self.learner.validate),
                                ("dual", self.dual.controller)):
             try:
@@ -87,13 +94,13 @@ class ExperimentConfig:
             except ValueError as e:
                 raise ConfigFileError(f"{section}: {e}") from e
 
+    def node_counts(self) -> dict:
+        """The coex_mix node counts; a count the config leaves out is 1."""
+        return {key: self.counts.get(key, 1) for key in COUNT_KEYS}
+
     def build_env(self) -> CoexEnv:
         if self.scenario == "coex_mix":
-            preset = coex_mix_preset(
-                gnb_pc1=self.counts.get("gnb_pc1", 1),
-                gnb_pc3=self.counts.get("gnb_pc3", 1),
-                ap_pc3=self.counts.get("ap_pc3", 1),
-            )
+            preset = coex_mix_preset(**self.node_counts())
         else:
             preset = single_pc1_preset()
         return CoexEnv(
@@ -275,14 +282,18 @@ def read_report(path: str) -> EvalReport:
     coll: dict[str, float] = {}
     eff: dict[str, float] = {}
     per_node = {"collision_probability": coll, "airtime_efficiency": eff}
+    seen: set[str] = set()
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: report line without '=': {line!r}")
             key, value = line.split("=", 1)
+            if key in seen:
+                raise ValueError(f"{path}:{number}: repeated report key {key!r}: {line!r}")
+            seen.add(key)
             metric, _, node = key.partition("[")
             if metric in per_node:
                 if not node.endswith("]"):

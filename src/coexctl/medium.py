@@ -19,12 +19,16 @@ intervals aborts the attempt and re-defers without advancing its backoff stage.
 Any temporal overlap between data transmissions is a collision for every
 participant. Reservation holds and CR pulses never corrupt data.
 
-A CR listen half is shorter than the smallest AIFS (MediumParams.validate
-refuses timings where it is not), so no countdown can progress inside a pulse
-train, and the train is one busy period for countdowns: each member holds the
-channel from its first pulse start to its last pulse end (or its abort), while
-occupancy still counts only the pulses. Nodes that pulse in phase are exactly
-those that committed at the same microsecond; together they are one train.
+The channel's timings are the module constants below, and a saturated node's
+data frame fills its MCOT grant. The CR train is exact under three rules on the
+constants, which tests/test_medium.py checks: CR_SLOT_US is even (a pulse half
+and a listen half), the CR_SLOT_COUNT pulses fit in NRU_SLOT_BOUNDARY_US, and a
+listen half is shorter than the smallest AIFS (9 us against SIFS_US +
+OBS_SLOT_US = 25 us). So no countdown can progress inside a pulse train, and
+the train is one busy period for countdowns: each member holds the channel from
+its first pulse start to its last pulse end (or its abort), while occupancy
+still counts only the pulses. Nodes that pulse in phase are exactly those that
+committed at the same microsecond; together they are one train.
 
 A train starts in the access-timer call where its members commit and is two
 heap events: its first pulse end (the listen check) and its last pulse end.
@@ -55,6 +59,7 @@ OBS_SLOT_US = 9
 SIFS_US = 16
 NRU_SLOT_BOUNDARY_US = 500
 CR_SLOT_US = 18
+CR_SLOT_COUNT = 27
 
 
 class Tech(str, Enum):
@@ -78,42 +83,6 @@ class ConfigError(ValueError):
     """Raised when a medium or contender configuration violates an invariant."""
 
 
-@dataclass
-class MediumParams:
-    """Shared channel timing constants.
-
-    frame_tx_us=None means saturated nodes fill their MCOT grant; when set it
-    caps every data frame and must not exceed the smallest configured MCOT.
-    """
-
-    obs_slot_us: int = OBS_SLOT_US
-    sifs_us: int = SIFS_US
-    nru_slot_boundary_us: int = NRU_SLOT_BOUNDARY_US
-    frame_tx_us: Optional[int] = None
-    cr_slot_us: int = CR_SLOT_US
-    cr_slot_count: int = 27
-
-    def validate(self) -> None:
-        for name in ("obs_slot_us", "sifs_us", "nru_slot_boundary_us", "cr_slot_us"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"MediumParams.{name} must be > 0")
-        if self.frame_tx_us is not None and self.frame_tx_us <= 0:
-            raise ConfigError("MediumParams.frame_tx_us must be > 0 when set")
-        if self.cr_slot_count < 1:
-            raise ConfigError("MediumParams.cr_slot_count must be >= 1")
-        if self.cr_slot_count * self.cr_slot_us > self.nru_slot_boundary_us:
-            raise ConfigError(
-                "MediumParams.cr_slot_count * cr_slot_us must fit in nru_slot_boundary_us"
-            )
-        if self.cr_slot_us % 2 != 0:
-            raise ConfigError("MediumParams.cr_slot_us must be even (pulse/listen halves)")
-        if self.cr_slot_us // 2 >= self.sifs_us + self.obs_slot_us:
-            raise ConfigError(
-                "MediumParams.cr_slot_us / 2 must be below the smallest AIFS"
-                " (sifs_us + obs_slot_us)"
-            )
-
-
 def _is_pow2m1(v: int) -> bool:
     return v >= 0 and ((v + 1) & v) == 0
 
@@ -130,7 +99,7 @@ class ContenderConfig:
     mcot_us: int
     count: int = 1
 
-    def validate(self, medium: Optional[MediumParams] = None) -> None:
+    def validate(self) -> None:
         if self.aifsn < 1:
             raise ConfigError(f"{self.label()}: aifsn must be >= 1, got {self.aifsn}")
         if self.cw_min < 0:
@@ -147,11 +116,6 @@ class ContenderConfig:
             raise ConfigError(f"{self.label()}: mcot_us must be > 0, got {self.mcot_us}")
         if self.count < 1:
             raise ConfigError(f"{self.label()}: count must be >= 1, got {self.count}")
-        frame = medium.frame_tx_us if medium is not None else None
-        if frame is not None and frame > self.mcot_us:
-            raise ConfigError(
-                f"{self.label()}: frame_tx_us ({frame}) exceeds mcot_us ({self.mcot_us})"
-            )
 
     def label(self) -> str:
         return f"{self.tech.value}/{self.pclass.value}"
@@ -228,7 +192,7 @@ class _Train:
     t0: int
     members: list["NodeState"]
     n_pulses: int
-    edges: int = 1  # pulse edges run so far; edge i is at t0 + i * cr_slot_us / 2
+    edges: int = 1  # pulse edges run so far; edge i is at t0 + i * CR_SLOT_US / 2
 
 
 @dataclass
@@ -293,7 +257,6 @@ class Simulator:
 
     def __init__(
         self,
-        medium: MediumParams,
         contenders: Iterable[ContenderConfig],
         cr_lbt_enabled: bool = False,
         seed: int = 0,
@@ -301,11 +264,9 @@ class Simulator:
         contenders = list(contenders)
         if not contenders:
             raise ConfigError("contender list must be non-empty")
-        medium.validate()
         for cfg in contenders:
-            cfg.validate(medium)
+            cfg.validate()
 
-        self.medium = medium
         self.cr_lbt_enabled = cr_lbt_enabled
         self.rng = np.random.default_rng(seed)
         self.clock = 0
@@ -386,7 +347,7 @@ class Simulator:
             new_cfg = self._built_cfgs.get(key)
             if new_cfg is None:
                 new_cfg = replace(node.cfg, **params)
-                new_cfg.validate(self.medium)
+                new_cfg.validate()
                 self._built_cfgs[key] = new_cfg
             staged.append((node, new_cfg))
         for node, new_cfg in staged:
@@ -411,7 +372,7 @@ class Simulator:
 
     def _cache_aifs(self) -> None:
         for node in self.nodes:
-            node.aifs = self.medium.sifs_us + node.cfg.aifsn * self.medium.obs_slot_us
+            node.aifs = SIFS_US + node.cfg.aifsn * OBS_SLOT_US
 
     def _push(self, t: int, kind: int, payload: tuple) -> None:
         self._seq += 1
@@ -460,12 +421,12 @@ class Simulator:
                 continue
             # the slots counted down since the node's AIFS ended
             elapsed = max(t - node.anchor - node.aifs, 0)
-            node.backoff -= min(elapsed // self.medium.obs_slot_us, node.backoff)
+            node.backoff -= min(elapsed // OBS_SLOT_US, node.backoff)
             node.state = _DEFER
         self._arm_access()
 
     def _on_idle(self, t: int) -> None:
-        slot = self.medium.obs_slot_us
+        slot = OBS_SLOT_US
         for node in self.nodes:
             if node.state > _PENDING:  # committed or transmitting
                 continue
@@ -504,7 +465,7 @@ class Simulator:
         if node.cfg.tech == Tech.WIFI:
             self._start_tx(node, t)
             return
-        period = self.medium.nru_slot_boundary_us
+        period = NRU_SLOT_BOUNDARY_US
         boundary = ((t + period - 1) // period) * period
         if boundary == t:
             self._start_tx(node, t)
@@ -521,7 +482,7 @@ class Simulator:
         self._fires[boundary].append(node)
         if self.cr_lbt_enabled:
             gap = boundary - t
-            commit.n_pulses = min(gap // self.medium.cr_slot_us, self.medium.cr_slot_count)
+            commit.n_pulses = min(gap // CR_SLOT_US, CR_SLOT_COUNT)
             return
         self._occ_start(t)  # reservation hold
 
@@ -532,7 +493,7 @@ class Simulator:
             node.commit.held = True
         self._blocking_start(t, len(members))
         self._occ_start(t, len(members))
-        self._push(t + self.medium.cr_slot_us // 2, _EV_PULSE_END, (tr,))
+        self._push(t + CR_SLOT_US // 2, _EV_PULSE_END, (tr,))
 
     def _ev_pulse_end(self, t: int, tr: _Train) -> None:
         """The train's listen check at its pulse end t, after settling it up to t."""
@@ -544,7 +505,7 @@ class Simulator:
                 self._abort_commit(node, t)
         elif tr.edges < 2 * tr.n_pulses:  # settle the pulses up to the last lazily
             self._lazy = tr
-            self._push(t + (tr.n_pulses - 1) * self.medium.cr_slot_us, _EV_PULSE_END, (tr,))
+            self._push(t + (tr.n_pulses - 1) * CR_SLOT_US, _EV_PULSE_END, (tr,))
         else:  # the last pulse: the train's busy period ends
             for node in tr.members:
                 node.commit.held = False
@@ -553,9 +514,9 @@ class Simulator:
     def _settle(self, tr: _Train, t: int) -> None:
         """Settle the train's pulse edges up to t in closed form (see module docstring).
 
-        Pulse k runs for a half from t0 + k * cr_slot_us; its end is edge 2k + 1.
+        Pulse k runs for a half from t0 + k * CR_SLOT_US; its end is edge 2k + 1.
         """
-        slot = self.medium.cr_slot_us
+        slot = CR_SLOT_US
         half = slot // 2
         stop = min(2 * tr.n_pulses, (t - tr.t0) // half + 1)  # edges at or before t
         first, ended = tr.edges // 2, stop // 2  # pulses first..ended-1 end here
@@ -579,7 +540,7 @@ class Simulator:
     def _in_listen(self, c: _Commit, t: int) -> bool:
         if t < c.t0 or t >= c.boundary:
             return False
-        d, slot = t - c.t0, self.medium.cr_slot_us
+        d, slot = t - c.t0, CR_SLOT_US
         # a listen half, or the rest of the gap after the pulses
         return d >= c.n_pulses * slot or d % slot >= slot // 2
 
@@ -603,10 +564,6 @@ class Simulator:
             node.commit = None
             self._start_tx(node, t)
 
-    def _frame_us(self, node: NodeState) -> int:
-        frame = self.medium.frame_tx_us
-        return node.cfg.mcot_us if frame is None else min(frame, node.cfg.mcot_us)
-
     def _start_tx(self, node: NodeState, t: int) -> None:
         node.collided = False
         for other in self.nodes:
@@ -615,7 +572,7 @@ class Simulator:
         node.state = _TX
         self._occ_start(t)
         self._blocking_start(t)
-        self._push(t + self._frame_us(node), _EV_TX_END, (node.idx, t))
+        self._push(t + node.cfg.mcot_us, _EV_TX_END, (node.idx, t))
 
     def _ev_tx_end(self, t: int, idx: int, start: int) -> None:
         node = self.nodes[idx]

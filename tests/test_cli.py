@@ -68,6 +68,14 @@ def test_bad_config_returns_error_code(tmp_path, capsys):
     assert "frobnicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "baseline"])
+def test_negative_seed_flag_is_refused_before_the_output_directory(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path)
+    assert main([command, "--config", cfg, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_path_that_is_a_directory_is_an_error(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")

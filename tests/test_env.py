@@ -10,7 +10,7 @@ from coexctl.env import (
     single_pc1_preset,
     coex_mix_preset,
 )
-from coexctl.medium import PClass, Simulator, Tech, TxKind
+from coexctl.medium import CR_SLOT_US, PClass, Simulator, Tech, TxKind
 from coexctl.metrics import ALPHA_DELAY, ema_update, jain_index
 
 
@@ -326,6 +326,6 @@ def test_a_dense_cr_step_pushes_few_heap_events(monkeypatch):
         if step == env.episode_steps:
             env.reset()
         env.step(step % env.n_actions)
-    half = env.sim.medium.cr_slot_us // 2
+    half = CR_SLOT_US // 2
     assert sum(node.stats.pulse_us for node in env.sim.nodes) // half > 10 * 200
     assert len(kinds) <= 8 * 200

@@ -140,6 +140,29 @@ def test_invalid_dual_settings_rejected_before_any_run(tmp_path, capsys, dual):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("data,key", [
+    ({"seed": -1}, "seed"),
+    ({"counts": {"gnb_pc1": 0, "gnb_pc3": 0, "ap_pc3": 0}}, "counts"),
+])
+def test_negative_seed_and_empty_coex_mix_are_refused_by_name(tmp_path, capsys, data, key):
+    out_dir = tmp_path / "out"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**data, "eval_episodes": 1, "out_dir": str(out_dir)}))
+    with pytest.raises(ConfigFileError, match=key):
+        load_config(str(path))
+    for command in ("train", "baseline"):
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+    assert not out_dir.exists()
+
+
+def test_single_pc1_ignores_all_zero_counts():
+    cfg = config_from_dict({"scenario": "single_pc1", "counts": {"gnb_pc1": 0, "gnb_pc3": 0,
+                                                                 "ap_pc3": 0}})
+    assert len(cfg.build_env().contenders) == 1
+
+
 # one out-of-range value for every learner and dual field
 OUT_OF_RANGE = [
     ("learner", "buffer_capacity", 0),
@@ -409,6 +432,18 @@ def test_report_line_without_equals_is_refused(tmp_path):
     path.write_text("\n".join(synthetic_report().to_lines()) + "\nmean_jfi 0.5\n")
     with pytest.raises(ValueError, match="without '='.*mean_jfi 0.5"):
         read_report(str(path))
+
+
+def test_report_with_a_repeated_key_is_refused_by_line(tmp_path, capsys):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    lines = synthetic_report().to_lines()
+    good.write_text("\n".join(lines) + "\n")
+    bad.write_text("\n".join(lines + ["mean_jfi=0.9"]) + "\n")
+    match = f"bad.txt:{len(lines) + 1}: repeated report key 'mean_jfi'"
+    with pytest.raises(ValueError, match=match):
+        read_report(str(bad))
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert match in capsys.readouterr().err
 
 
 def test_per_node_report_line_without_closing_bracket_is_refused(tmp_path):

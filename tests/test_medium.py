@@ -2,16 +2,17 @@
 
 import bisect
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from coexctl import medium
 from coexctl.medium import (
     ConfigError,
     ContenderConfig,
-    MediumParams,
     PClass,
     Simulator,
     Tech,
@@ -45,29 +46,29 @@ def data_outcomes(outcomes):
 
 
 def test_coex_mix_preset_has_three_contenders():
-    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=0)
+    sim = Simulator(coex_mix_contenders(), seed=0)
     assert len(sim.nodes) == 3
     assert sim.node_names() == ["nru_pc1_0", "nru_pc3_0", "wifi_pc3_0"]
 
 
 def test_empty_contender_list_rejected():
     with pytest.raises(ConfigError):
-        Simulator(MediumParams(), [], seed=0)
+        Simulator([], seed=0)
 
 
 def test_invalid_config_names_field():
     bad = ContenderConfig(Tech.NRU, PClass.PC1, aifsn=0, cw_min=0, cw_max=0, mcot_us=2000)
     with pytest.raises(ConfigError, match="aifsn"):
-        Simulator(MediumParams(), [bad], seed=0)
+        Simulator([bad], seed=0)
     bad = ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=14, mcot_us=2000)
     with pytest.raises(ConfigError, match="cw_max"):
-        Simulator(MediumParams(), [bad], seed=0)
+        Simulator([bad], seed=0)
 
 
 def test_same_seed_identical_first_1000_outcomes():
     traces = []
     for _ in range(2):
-        sim = Simulator(MediumParams(), coex_mix_contenders(), seed=42)
+        sim = Simulator(coex_mix_contenders(), seed=42)
         out = []
         while len(out) < 1000:
             out.extend(sim.run_for(100_000))
@@ -149,7 +150,7 @@ def test_beb_ladder_closed_form():
 
 def test_collision_after_a_raised_cw_min_floors_the_window_at_it():
     cfg = [ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000)]
-    sim = Simulator(MediumParams(), cfg, seed=0)
+    sim = Simulator(cfg, seed=0)
     sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"cw_min": 3, "cw_max": 3}})
     node = sim.nodes[0]
     assert node.cw_current == 0
@@ -161,7 +162,7 @@ def test_collision_after_a_raised_cw_min_floors_the_window_at_it():
 def test_lone_wifi_inter_success_gap_is_aifs_plus_frame():
     # aifsn=2, cw fixed 0: every inter-success gap = AIFS + frame duration
     cfg = [ContenderConfig(Tech.WIFI, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000)]
-    sim = Simulator(MediumParams(), cfg, seed=0)
+    sim = Simulator(cfg, seed=0)
     out = data_outcomes(sim.run_for(200_000))
     assert all(o.kind == TxKind.SUCCESS for o in out)
     aifs = 16 + 2 * 9
@@ -171,7 +172,7 @@ def test_lone_wifi_inter_success_gap_is_aifs_plus_frame():
 
 
 def test_success_delay_is_start_minus_hol():
-    sim = Simulator(MediumParams(), single_nru_pc1(), seed=0)
+    sim = Simulator(single_nru_pc1(), seed=0)
     out = data_outcomes(sim.run_for(100_000))
     prev_end = 0
     for o in out:
@@ -185,7 +186,7 @@ def test_success_delay_is_start_minus_hol():
 
 
 def test_plain_gap_emits_reservation_then_boundary_start():
-    sim = Simulator(MediumParams(), single_nru_pc1(), seed=0)
+    sim = Simulator(single_nru_pc1(), seed=0)
     out = sim.run_for(10_000)
     rs = [o for o in out if o.kind == TxKind.RS]
     data = data_outcomes(out)
@@ -200,7 +201,7 @@ def test_plain_gap_emits_reservation_then_boundary_start():
 def test_zero_gap_transmits_immediately_without_rs():
     # aifsn=276 puts the first access exactly on the 2500 us boundary
     cfg = [ContenderConfig(Tech.NRU, PClass.PC1, aifsn=276, cw_min=0, cw_max=0, mcot_us=2000)]
-    sim = Simulator(MediumParams(), cfg, seed=0)
+    sim = Simulator(cfg, seed=0)
     out = sim.run_for(6_000)
     assert (16 + 276 * 9) % 500 == 0
     assert [o.kind for o in out][0] == TxKind.SUCCESS
@@ -208,7 +209,7 @@ def test_zero_gap_transmits_immediately_without_rs():
     assert not [o for o in out if o.kind == TxKind.RS]
 
 
-def test_cr_staggered_commits_resolve_to_single_transmitter():
+def test_cr_staggered_commits_resolve_to_single_transmitter(monkeypatch):
     # Node 0 (AIFS 34 us) commits first and pulses five times; node 1 (AIFS
     # 43 us) resumes once that train ends and its first pulse falls in node
     # 0's listen tail, so node 0 aborts. The two then take turns until node 1's
@@ -217,7 +218,8 @@ def test_cr_staggered_commits_resolve_to_single_transmitter():
         ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
         ContenderConfig(Tech.NRU, PClass.PC3, aifsn=3, cw_min=0, cw_max=0, mcot_us=2000),
     ]
-    sim = Simulator(MediumParams(cr_slot_count=5), cfg, cr_lbt_enabled=True, seed=0)
+    monkeypatch.setattr(medium, "CR_SLOT_COUNT", 5)
+    sim = Simulator(cfg, cr_lbt_enabled=True, seed=0)
     out = sim.run_for(3_000)
     pulses = [(o.node, o.start_us) for o in out if o.kind == TxKind.CR_PULSE and o.end_us < 500]
     # each train needs its hold released at its last pulse end, or the other
@@ -236,7 +238,7 @@ def test_plain_hold_does_not_block_wifi_and_boundary_start_collides():
         ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
         ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=4, cw_min=0, cw_max=0, mcot_us=4000),
     ]
-    sim = Simulator(MediumParams(), cfg, seed=0)
+    sim = Simulator(cfg, seed=0)
     out = sim.run_for(10_000)
     rs = [o for o in out if o.kind == TxKind.RS][0]
     data = data_outcomes(out)
@@ -253,7 +255,7 @@ def test_cr_pulses_block_wifi_countdown():
         ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
         ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=4, cw_min=0, cw_max=0, mcot_us=4000),
     ]
-    sim = Simulator(MediumParams(), cfg, cr_lbt_enabled=True, seed=0)
+    sim = Simulator(cfg, cr_lbt_enabled=True, seed=0)
     out = sim.run_for(100_000)
     pulses = [o for o in out if o.kind == TxKind.CR_PULSE]
     assert pulses, "expected CR pulses"
@@ -271,7 +273,7 @@ def test_cr_cross_tech_tie_resolves_without_collision():
         ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
         ContenderConfig(Tech.WIFI, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
     ]
-    sim = Simulator(MediumParams(), cfg, cr_lbt_enabled=True, seed=0)
+    sim = Simulator(cfg, cr_lbt_enabled=True, seed=0)
     out = sim.run_for(20_000)
     data = data_outcomes(out)
     assert data, "expected transmissions"
@@ -284,7 +286,7 @@ def test_cr_cross_tech_tie_resolves_without_collision():
 
 
 def test_single_transmitter_success():
-    sim = Simulator(MediumParams(), single_nru_pc1(), seed=1)
+    sim = Simulator(single_nru_pc1(), seed=1)
     out = data_outcomes(sim.run_for(50_000))
     assert out and all(o.kind == TxKind.SUCCESS for o in out)
 
@@ -294,7 +296,7 @@ def test_identical_backoff_wifi_pair_collides():
         ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=3, cw_min=0, cw_max=0, mcot_us=4000),
         ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=3, cw_min=0, cw_max=0, mcot_us=4000),
     ]
-    sim = Simulator(MediumParams(), cfg, seed=0)
+    sim = Simulator(cfg, seed=0)
     out = data_outcomes(sim.run_for(50_000))
     assert out and all(o.kind == TxKind.COLLISION for o in out)
     # simultaneous starts
@@ -303,7 +305,7 @@ def test_identical_backoff_wifi_pair_collides():
 
 
 def test_no_success_overlaps_any_data_interval():
-    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=9)
+    sim = Simulator(coex_mix_contenders(), seed=9)
     out = data_outcomes(sim.run_for(1_000_000))
     spans = sorted((o.start_us, o.end_us, o.kind) for o in out)
     for (s1, e1, k1), (s2, e2, k2) in zip(spans, spans[1:]):
@@ -312,7 +314,7 @@ def test_no_success_overlaps_any_data_interval():
 
 
 def test_nru_data_starts_on_slot_boundaries():
-    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=4)
+    sim = Simulator(coex_mix_contenders(), seed=4)
     out = data_outcomes(sim.run_for(1_000_000))
     for o in out:
         if o.tech == Tech.NRU:
@@ -324,13 +326,13 @@ def test_nru_data_starts_on_slot_boundaries():
 
 
 def test_run_for_requires_positive_duration():
-    sim = Simulator(MediumParams(), single_nru_pc1(), seed=0)
+    sim = Simulator(single_nru_pc1(), seed=0)
     with pytest.raises(ValueError):
         sim.run_for(0)
 
 
 def test_run_for_split_windows_compose():
-    sims = [Simulator(MediumParams(), coex_mix_contenders(), seed=5) for _ in range(2)]
+    sims = [Simulator(coex_mix_contenders(), seed=5) for _ in range(2)]
     whole = sims[0].run_for(2500) + sims[0].run_for(2500)
     halves = []
     for _ in range(4):
@@ -341,13 +343,13 @@ def test_run_for_split_windows_compose():
 
 
 def test_saturated_preset_busy_fraction_above_0_9():
-    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=6)
+    sim = Simulator(coex_mix_contenders(), seed=6)
     sim.run_for(10_000_000)
     assert sim.occupied_us_at() / sim.clock > 0.9
 
 
 def test_occupancy_integrator_matches_trace_union():
-    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=7)
+    sim = Simulator(coex_mix_contenders(), seed=7)
     horizon = 1_000_000
     out = list(sim.run_for(horizon))
     occupied_at_horizon = sim.occupied_us_at()
@@ -370,7 +372,7 @@ def test_occupancy_integrator_matches_trace_union():
 
 
 def test_work_conservation_idle_bound():
-    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=8)
+    sim = Simulator(coex_mix_contenders(), seed=8)
     out = list(sim.run_for(2_000_000))
     spans = sorted((o.start_us, o.end_us) for o in out)
     merged = []
@@ -388,7 +390,7 @@ def test_work_conservation_idle_bound():
 def test_cr_single_contender_matches_plain_throughput():
     runs = {}
     for cr in (False, True):
-        sim = Simulator(MediumParams(), single_nru_pc1(), cr_lbt_enabled=cr, seed=3)
+        sim = Simulator(single_nru_pc1(), cr_lbt_enabled=cr, seed=3)
         out = data_outcomes(sim.run_for(500_000))
         runs[cr] = [(o.start_us, o.end_us, o.kind) for o in out]
     assert runs[False] == runs[True]
@@ -400,7 +402,7 @@ def test_cr_single_contender_matches_plain_throughput():
 
 
 def test_apply_mac_params_takes_effect_on_next_draws():
-    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=10)
+    sim = Simulator(coex_mix_contenders(), seed=10)
     sim.run_for(100_000)
     sim.apply_mac_params({
         (Tech.NRU, PClass.PC1): {"cw_min": 0, "cw_max": 7},
@@ -416,7 +418,7 @@ def test_apply_mac_params_takes_effect_on_next_draws():
 def test_apply_mac_params_idempotent():
     traces = []
     for repeats in (1, 2):
-        sim = Simulator(MediumParams(), coex_mix_contenders(), seed=11)
+        sim = Simulator(coex_mix_contenders(), seed=11)
         sim.run_for(50_000)
         for _ in range(repeats):
             sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"cw_min": 0, "cw_max": 7}})
@@ -426,17 +428,16 @@ def test_apply_mac_params_idempotent():
 
 
 def test_apply_mac_params_rejects_and_leaves_state():
-    sim = Simulator(
-        MediumParams(frame_tx_us=1500), coex_mix_contenders(), seed=12
-    )
+    sim = Simulator(coex_mix_contenders(), seed=12)
     before = {n.idx: n.cfg.mcot_us for n in sim.nodes}
-    with pytest.raises(ConfigError):
-        sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"mcot_us": 1000}})
+    with pytest.raises(ConfigError, match="mcot_us"):
+        sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"mcot_us": 1000},
+                              (Tech.NRU, PClass.PC3): {"mcot_us": 0}})
     assert {n.idx: n.cfg.mcot_us for n in sim.nodes} == before
 
 
 def test_apply_mac_params_reuses_built_configs_and_still_refuses():
-    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=12)
+    sim = Simulator(coex_mix_contenders(), seed=12)
     pc1 = sim.nodes[0]
     preset = pc1.cfg
     sim.apply_mac_params({(Tech.NRU, PClass.PC1): {"aifsn": 1}})
@@ -464,16 +465,16 @@ def test_apply_mac_params_reuses_built_configs_and_still_refuses():
 
 
 def test_medium_invariants_validated():
-    with pytest.raises(ConfigError):
-        MediumParams(cr_slot_count=100).validate()  # 100 * 18 > 500
-    with pytest.raises(ConfigError):
-        MediumParams(obs_slot_us=0).validate()
-    with pytest.raises(ConfigError, match="smallest AIFS"):
-        MediumParams(cr_slot_us=50, cr_slot_count=5).validate()  # 25 us listen >= 16 + 9
+    # the closed-form train settle is exact only under these (module docstring):
+    # a pulse half and a listen half, the pulses fit before the boundary, and a
+    # listen half is shorter than the smallest AIFS (aifsn 1)
+    assert medium.CR_SLOT_US % 2 == 0
+    assert medium.CR_SLOT_COUNT * medium.CR_SLOT_US <= medium.NRU_SLOT_BOUNDARY_US
+    assert medium.CR_SLOT_US // 2 < medium.SIFS_US + medium.OBS_SLOT_US
 
 
 def test_node_state_invariants_hold_throughout_run():
-    sim = Simulator(MediumParams(), coex_mix_contenders(), seed=13)
+    sim = Simulator(coex_mix_contenders(), seed=13)
     for _ in range(60):
         sim.run_for(10_000)
         for node in sim.nodes:
@@ -503,7 +504,7 @@ def nru_then_wifi_448():
 def test_frame_ending_at_a_boundary_does_not_collide_with_the_frame_starting_there():
     # the frame end is processed before the boundary fire, so the NR-U frame
     # starts on a free channel
-    out = Simulator(MediumParams(), nru_then_wifi_448(), seed=0).run_for(990)
+    out = Simulator(nru_then_wifi_448(), seed=0).run_for(990)
     assert [(o.node, o.kind, o.start_us, o.end_us) for o in out] == [
         (1, TxKind.SUCCESS, 52, 500),
         (0, TxKind.RS, 25, 500),
@@ -516,7 +517,7 @@ def test_boundary_fire_starts_before_an_access_due_there():
     # boundary (at 973 us) and the Wi-Fi access falls due at exactly 1000 us:
     # both frames start there and collide. The fire runs first, so the NR-U
     # frame's end event is queued, and its record emitted, first.
-    out = Simulator(MediumParams(), nru_then_wifi_448(), seed=0).run_for(1_460)
+    out = Simulator(nru_then_wifi_448(), seed=0).run_for(1_460)
     assert [(o.node, o.kind, o.start_us, o.end_us) for o in out[3:]] == [
         (0, TxKind.RS, 973, 1000),
         (0, TxKind.COLLISION, 1000, 1448),
@@ -534,7 +535,7 @@ def test_accesses_due_at_the_same_microsecond_run_in_node_index_order():
         ContenderConfig(Tech.NRU, PClass.PC3, aifsn=3, cw_min=0, cw_max=0, mcot_us=1448),
         ContenderConfig(Tech.WIFI, PClass.PC1, aifsn=3, cw_min=0, cw_max=0, mcot_us=1448),
     ]
-    out = Simulator(MediumParams(), cfg, seed=0).run_for(1_960)
+    out = Simulator(cfg, seed=0).run_for(1_960)
     assert [(o.node, o.kind, o.start_us, o.end_us) for o in out] == [
         (1, TxKind.RS, 43, 500),
         (0, TxKind.COLLISION, 43, 1491),
@@ -550,7 +551,7 @@ def test_accesses_due_together_under_cr_lbt_pulse_in_phase_and_collide():
         ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
         ContenderConfig(Tech.NRU, PClass.PC3, aifsn=2, cw_min=0, cw_max=0, mcot_us=2000),
     ]
-    out = Simulator(MediumParams(), cfg, cr_lbt_enabled=True, seed=0).run_for(2_600)
+    out = Simulator(cfg, cr_lbt_enabled=True, seed=0).run_for(2_600)
     pulses = [o for o in out if o.kind == TxKind.CR_PULSE]
     assert [(o.node, o.start_us) for o in pulses[:4]] == [(0, 34), (1, 34), (0, 52), (1, 52)]
     assert [(o.node, o.kind, o.start_us) for o in data_outcomes(out)] == [
@@ -568,7 +569,7 @@ def test_countdown_due_at_a_busy_start_fires_after_a_raised_aifs():
         ContenderConfig(Tech.NRU, PClass.PC1, aifsn=1, cw_min=0, cw_max=0, mcot_us=466),
         ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=2, cw_min=0, cw_max=0, mcot_us=441),
     ]
-    sim = Simulator(MediumParams(), cfg, seed=0)
+    sim = Simulator(cfg, seed=0)
     assert [(o.node, o.kind, o.end_us) for o in sim.run_for(967)][-1] == (0, TxKind.SUCCESS, 966)
     sim.apply_mac_params({(tech, pclass): {"aifsn": 5} for tech in Tech for pclass in PClass})
     out = sim.run_for(1_500)
@@ -587,11 +588,11 @@ def dense_cr_contenders():
     ]
 
 
-def aifsn_windows_digest(medium, cr_lbt):
+def aifsn_windows_digest(cr_lbt):
     # 400 control windows of 2.5 ms on the dense 2+3+3 mix, each preceded by a
     # seeded random AIFSN assignment for every (tech, class)
     rng = np.random.default_rng(2024)
-    sim = Simulator(medium, dense_cr_contenders(), cr_lbt_enabled=cr_lbt, seed=17)
+    sim = Simulator(dense_cr_contenders(), cr_lbt_enabled=cr_lbt, seed=17)
     h = hashlib.sha256()
     for _ in range(400):
         sim.apply_mac_params({
@@ -612,13 +613,14 @@ def aifsn_windows_digest(medium, cr_lbt):
     (True, "9c7a622b332ef9849ca52ebbe81b02d30b7b521d2c0e14e815f5a8a960d07231"),
 ])
 def test_random_aifsn_windows_outcome_stream_is_pinned(cr_lbt, digest):
-    assert aifsn_windows_digest(MediumParams(), cr_lbt) == digest
+    assert aifsn_windows_digest(cr_lbt) == digest
 
 
-def test_random_aifsn_windows_outcome_stream_is_pinned_at_a_12_us_cr_slot():
+def test_random_aifsn_windows_outcome_stream_is_pinned_at_a_12_us_cr_slot(monkeypatch):
     # computed before in-phase CR pulses shared one event per pulse edge
-    medium = MediumParams(cr_slot_us=12, cr_slot_count=40)
-    assert (aifsn_windows_digest(medium, cr_lbt=True)
+    monkeypatch.setattr(medium, "CR_SLOT_US", 12)
+    monkeypatch.setattr(medium, "CR_SLOT_COUNT", 40)
+    assert (aifsn_windows_digest(cr_lbt=True)
             == "022527b12e52a2674dfd00d2fd95b7bef18830eae8a59034fc83ba6ab8b5a457")
 
 
@@ -650,7 +652,7 @@ def test_short_windows_give_the_results_of_one_long_window():
         (Tech.NRU, PClass.PC3): {"aifsn": int(rng.integers(1, 8))},
         (Tech.WIFI, PClass.PC3): {"aifsn": int(rng.integers(1, 8))},
     }
-    sims = [Simulator(MediumParams(), dense_cr_contenders(), cr_lbt_enabled=True, seed=23)
+    sims = [Simulator(dense_cr_contenders(), cr_lbt_enabled=True, seed=23)
             for _ in range(2)]
     for sim in sims:
         sim.apply_mac_params(assignment)
@@ -684,9 +686,8 @@ def test_each_cr_pulse_outcome_is_half_a_slot_of_its_nodes_pulse_us():
     # halves and the gaps between trains; per node and window, the CR_PULSE
     # outcomes and the pulse_us gained count the same pulses
     rng = np.random.default_rng(5)
-    medium = MediumParams()
-    half = medium.cr_slot_us // 2
-    sim = Simulator(medium, dense_cr_contenders(), cr_lbt_enabled=True, seed=29)
+    half = medium.CR_SLOT_US // 2
+    sim = Simulator(dense_cr_contenders(), cr_lbt_enabled=True, seed=29)
     pulses = np.zeros(len(sim.nodes), dtype=int)
     while sim.clock < 100_000:
         if sim.clock % 2_500 < 40:
@@ -705,8 +706,8 @@ def test_each_cr_pulse_outcome_is_half_a_slot_of_its_nodes_pulse_us():
     assert pulses.sum() > 1000 and np.count_nonzero(pulses) >= 3
 
 
-@pytest.mark.parametrize("frame_tx_us", [None, 5])
-def test_no_hold_starts_during_a_train_that_passed_its_check(monkeypatch, frame_tx_us):
+@pytest.mark.parametrize("mcot_us", [None, 5])
+def test_no_hold_starts_during_a_train_that_passed_its_check(monkeypatch, mcot_us):
     # A passed train is settled lazily up to its last pulse end, which is exact
     # only if no frame, hold or other train starts meanwhile. A 5 us frame is
     # shorter than a listen half, so a frame starting at a train's first pulse
@@ -720,14 +721,16 @@ def test_no_hold_starts_during_a_train_that_passed_its_check(monkeypatch, frame_
 
     def counted_pulse_end(self, t, tr):
         pulse_end(self, t, tr)
-        if t == tr.t0 + self.medium.cr_slot_us // 2 and tr.members[0].commit is not None:
+        if t == tr.t0 + medium.CR_SLOT_US // 2 and tr.members[0].commit is not None:
             passed.append(tr)
 
     monkeypatch.setattr(Simulator, "_blocking_start", checked_blocking_start)
     monkeypatch.setattr(Simulator, "_ev_pulse_end", counted_pulse_end)
     rng = np.random.default_rng(2024)
-    sim = Simulator(MediumParams(frame_tx_us=frame_tx_us), dense_cr_contenders(),
-                    cr_lbt_enabled=True, seed=17)
+    contenders = dense_cr_contenders()
+    if mcot_us is not None:
+        contenders = [replace(c, mcot_us=mcot_us) for c in contenders]
+    sim = Simulator(contenders, cr_lbt_enabled=True, seed=17)
     for _ in range(80):
         sim.apply_mac_params({
             (Tech.NRU, PClass.PC1): {"aifsn": int(rng.integers(1, 4))},
@@ -769,7 +772,7 @@ def random_runs(draw):
 @given(run=random_runs(), cr_lbt=st.booleans(), seed=st.integers(0, 2**16))
 def test_invariants_hold_under_random_mixes_and_assignments(run, cr_lbt, seed):
     contenders, windows = run
-    sim = Simulator(MediumParams(), contenders, cr_lbt_enabled=cr_lbt, seed=seed)
+    sim = Simulator(contenders, cr_lbt_enabled=cr_lbt, seed=seed)
     # a node's window bounds hold again once it has succeeded or collided
     # after its CW parameters last changed (new values take effect at next draws)
     settled = [True] * len(sim.nodes)
