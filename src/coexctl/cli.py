@@ -32,6 +32,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.seed = args.seed
     if getattr(args, "episodes", None) is not None:
         cfg.episodes = args.episodes
+    if getattr(args, "eval_episodes", None) is not None:
+        cfg.eval_episodes = args.eval_episodes
     if args.action_mode is not None:
         cfg.action_mode = args.action_mode
     if args.cr_lbt is not None:
@@ -58,11 +60,11 @@ def main(argv=None) -> int:
     p_eval = sub.add_parser("evaluate", help="greedy rollout of a stored policy")
     p_eval.add_argument("artifact", help="policy artifact path")
     _add_common(p_eval)
-    p_eval.add_argument("--eval-episodes", type=int, help="evaluation episode count")
+    p_eval.add_argument("--eval-episodes", type=int, help="override evaluation episode count")
 
     p_base = sub.add_parser("baseline", help="fixed default-parameter rollout")
     _add_common(p_base)
-    p_base.add_argument("--eval-episodes", type=int, help="evaluation episode count")
+    p_base.add_argument("--eval-episodes", type=int, help="override evaluation episode count")
 
     p_cmp = sub.add_parser("compare", help="side-by-side report comparison with deltas")
     p_cmp.add_argument("reports", nargs="+", help=">= 2 report files")
@@ -81,11 +83,11 @@ def main(argv=None) -> int:
             print(f"log: {log}")
         elif args.command == "evaluate":
             cfg = _build_config(args)
-            report = cmd_evaluate(args.artifact, cfg, episodes=args.eval_episodes)
+            report = cmd_evaluate(args.artifact, cfg)
             print("\n".join(report.to_lines()))
         elif args.command == "baseline":
             cfg = _build_config(args)
-            report = cmd_baseline(cfg, episodes=args.eval_episodes)
+            report = cmd_baseline(cfg)
             print("\n".join(report.to_lines()))
         elif args.command == "compare":
             print(cmd_compare(args.reports), end="")

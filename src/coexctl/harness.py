@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -76,8 +77,10 @@ class ExperimentConfig:
             raise ConfigFileError(f"unknown scenario preset: {self.scenario!r}")
         if self.action_mode not in ("cw", "aifsn", "mcot"):
             raise ConfigFileError(f"action_mode must be cw/aifsn/mcot, got {self.action_mode!r}")
-        if self.episodes < 1 or self.eval_episodes < 1:
-            raise ConfigFileError("episodes and eval_episodes must be >= 1")
+        if self.episodes < 1:
+            raise ConfigFileError(f"episodes must be >= 1, got {self.episodes}")
+        if self.eval_episodes < 1:
+            raise ConfigFileError(f"eval_episodes must be >= 1, got {self.eval_episodes}")
         if self.d_th_us <= 0:
             raise ConfigFileError("d_th_us must be > 0")
         if self.seed < 0:
@@ -97,6 +100,12 @@ class ExperimentConfig:
     def node_counts(self) -> dict:
         """The coex_mix node counts; a count the config leaves out is 1."""
         return {key: self.counts.get(key, 1) for key in COUNT_KEYS}
+
+    def artifact_config(self) -> dict:
+        """The ARTIFACT_CONFIG_KEYS values a policy artifact records and
+        evaluation must match, with counts as the node mix they build."""
+        return {key: self.node_counts() if key == "counts" else getattr(self, key)
+                for key in ARTIFACT_CONFIG_KEYS}
 
     def build_env(self) -> CoexEnv:
         if self.scenario == "coex_mix":
@@ -251,6 +260,11 @@ def write_manifest(path: str, cfg: ExperimentConfig) -> None:
 class EvalReport:
     """Per-node and aggregate evaluation quantities (delays in milliseconds)."""
 
+    # the metric names in file order after d_th_ms; a per-node metric has a row per node
+    AGGREGATES: ClassVar[tuple] = ("mean_pc1_delay_ms", "p95_pc1_delay_ms", "mean_jfi",
+                                   "violation_fraction")
+    PER_NODE: ClassVar[tuple] = ("collision_probability", "airtime_efficiency")
+
     nodes: list
     collision_probability: dict
     airtime_efficiency: dict
@@ -260,17 +274,16 @@ class EvalReport:
     violation_fraction: float
     d_th_ms: float
 
+    def metrics(self) -> dict[str, float]:
+        """The report's rows after d_th_ms, keyed and ordered as in the file."""
+        rows = {key: getattr(self, key) for key in self.AGGREGATES}
+        for metric in self.PER_NODE:
+            rows.update((f"{metric}[{n}]", getattr(self, metric)[n]) for n in self.nodes)
+        return rows
+
     def to_lines(self) -> list[str]:
-        lines = [f"d_th_ms={_fmt(self.d_th_ms)}"]
-        lines.append(f"mean_pc1_delay_ms={_fmt(self.mean_pc1_delay_ms)}")
-        lines.append(f"p95_pc1_delay_ms={_fmt(self.p95_pc1_delay_ms)}")
-        lines.append(f"mean_jfi={_fmt(self.mean_jfi)}")
-        lines.append(f"violation_fraction={_fmt(self.violation_fraction)}")
-        for n in self.nodes:
-            lines.append(f"collision_probability[{n}]={_fmt(self.collision_probability[n])}")
-        for n in self.nodes:
-            lines.append(f"airtime_efficiency[{n}]={_fmt(self.airtime_efficiency[n])}")
-        return lines
+        rows = {"d_th_ms": self.d_th_ms, **self.metrics()}
+        return [f"{key}={_fmt(value)}" for key, value in rows.items()]
 
     def write(self, path: str) -> None:
         with open(path, "w") as f:
@@ -278,10 +291,9 @@ class EvalReport:
 
 
 def read_report(path: str) -> EvalReport:
+    """Parse a report file; a malformed, repeated, missing or non-finite value is refused."""
     scalars: dict[str, float] = {}
-    coll: dict[str, float] = {}
-    eff: dict[str, float] = {}
-    per_node = {"collision_probability": coll, "airtime_efficiency": eff}
+    per_node: dict[str, dict[str, float]] = {metric: {} for metric in EvalReport.PER_NODE}
     seen: set[str] = set()
     with open(path) as f:
         for number, line in enumerate(f, 1):
@@ -294,30 +306,28 @@ def read_report(path: str) -> EvalReport:
             if key in seen:
                 raise ValueError(f"{path}:{number}: repeated report key {key!r}: {line!r}")
             seen.add(key)
+            parsed = float(value)
+            if not math.isfinite(parsed):
+                raise ValueError(f"{path}:{number}: non-finite report value: {line!r}")
             metric, _, node = key.partition("[")
             if metric in per_node:
                 if not node.endswith("]"):
                     raise ValueError(f"{path}: per-node report line without ']': {line!r}")
-                per_node[metric][node[:-1]] = float(value)
+                per_node[metric][node[:-1]] = parsed
             else:
-                scalars[key] = float(value)
-    names = ("mean_pc1_delay_ms", "p95_pc1_delay_ms", "mean_jfi", "violation_fraction", "d_th_ms")
+                scalars[key] = parsed
+    names = (*EvalReport.AGGREGATES, "d_th_ms")
     for key in names:
         if key not in scalars:
             raise ValueError(f"{path}: report lacks {key}")
-    if set(coll) != set(eff):
-        only_coll, only_eff = sorted(set(coll) - set(eff)), sorted(set(eff) - set(coll))
-        raise ValueError(
-            f"{path}: collision_probability and airtime_efficiency list different nodes"
-            f" (only in collision_probability: {', '.join(only_coll) or 'none'};"
-            f" only in airtime_efficiency: {', '.join(only_eff) or 'none'})"
-        )
-    return EvalReport(
-        nodes=list(coll),
-        collision_probability=coll,
-        airtime_efficiency=eff,
-        **{key: scalars[key] for key in names},
-    )
+    (first, first_nodes), (second, second_nodes) = per_node.items()
+    if set(first_nodes) != set(second_nodes):
+        only_first = ", ".join(sorted(set(first_nodes) - set(second_nodes))) or "none"
+        only_second = ", ".join(sorted(set(second_nodes) - set(first_nodes))) or "none"
+        raise ValueError(f"{path}: {first} and {second} list different nodes"
+                         f" (only in {first}: {only_first}; only in {second}: {only_second})")
+    return EvalReport(nodes=list(first_nodes), **per_node,
+                      **{key: scalars[key] for key in names})
 
 
 def nearest_rank_percentile(samples: list[float], pct: float) -> float:
@@ -343,14 +353,15 @@ def node_display_label(sim_name: str, all_names: list[str]) -> str:
 
 
 def report_from_rollout(rollout: EvalRollout, d_th_us: float) -> EvalReport:
-    """The report of a rollout: per-node counters, and aggregates over its step log."""
-    names = list(rollout.node_names)
-    labels = {n: node_display_label(n, names) for n in names}
+    """The report of a rollout: each node's NodeStats ratios over the whole
+    rollout under its display label, and aggregates over the step log."""
+    names = list(rollout.stats)
+    stats = {node_display_label(n, names): s for n, s in rollout.stats.items()}
     delays = [entry.delay_smooth_us for entry in rollout.log]
     return EvalReport(
-        nodes=[labels[n] for n in names],
-        collision_probability={labels[n]: rollout.collision_probability[n] for n in names},
-        airtime_efficiency={labels[n]: rollout.airtime_efficiency[n] for n in names},
+        nodes=list(stats),
+        collision_probability={label: s.collision_probability() for label, s in stats.items()},
+        airtime_efficiency={label: s.airtime_efficiency() for label, s in stats.items()},
         mean_pc1_delay_ms=float(np.mean(delays)) / 1000.0,
         p95_pc1_delay_ms=nearest_rank_percentile(delays, 95.0) / 1000.0,
         mean_jfi=float(np.mean([entry.jfi for entry in rollout.log])),
@@ -380,24 +391,18 @@ def cmd_train(cfg: ExperimentConfig) -> tuple[str, str]:
     save_policy(
         artifact_path,
         result.learner,
-        meta={
-            **{key: getattr(cfg, key) for key in ARTIFACT_CONFIG_KEYS},
-            "seed": cfg.seed,
-            "episodes": cfg.episodes,
-        },
+        meta={**cfg.artifact_config(), "seed": cfg.seed, "episodes": cfg.episodes},
     )
     write_step_log(log_path, result.log)
     write_manifest(os.path.join(cfg.out_dir, "manifest.json"), cfg)
     return artifact_path, log_path
 
 
-def cmd_evaluate(
-    artifact_path: str, cfg: ExperimentConfig, episodes: Optional[int] = None
-) -> EvalReport:
+def cmd_evaluate(artifact_path: str, cfg: ExperimentConfig) -> EvalReport:
     """Greedy rollout of a stored policy with online dual updates only.
 
-    The artifact must have been trained under the same ARTIFACT_CONFIG_KEYS
-    values as cfg; a mismatch raises ConfigFileError instead of running.
+    The artifact must have been trained under the same artifact_config() as
+    cfg; a mismatch raises ConfigFileError instead of running.
     """
     cfg.validate()
     artifact = load_policy(artifact_path)
@@ -407,31 +412,27 @@ def cmd_evaluate(
             f"artifact dimensions (obs={artifact.obs_dim}, actions={artifact.n_actions}) do not"
             f" match config (obs={env.observation_dim}, actions={env.n_actions})"
         )
-    for key in ARTIFACT_CONFIG_KEYS:
+    for key, value in cfg.artifact_config().items():
         trained = artifact.meta.get(key)
-        if trained != getattr(cfg, key):
+        if trained != value:
             raise ConfigFileError(
-                f"artifact was trained with {key}={trained!r} but the config has"
-                f" {key}={getattr(cfg, key)!r}"
+                f"artifact was trained with {key}={trained!r} but the config has {key}={value!r}"
             )
-    return _report_rollout(cfg, env, artifact.network(), cfg.dual.controller(), episodes, "eval")
+    return _report_rollout(cfg, env, artifact.network(), cfg.dual.controller(), "eval")
 
 
-def cmd_baseline(cfg: ExperimentConfig, episodes: Optional[int] = None) -> EvalReport:
+def cmd_baseline(cfg: ExperimentConfig) -> EvalReport:
     """Static default MAC parameters, no learning, no dual updates."""
     cfg.validate()
-    return _report_rollout(cfg, cfg.build_env(), None, None, episodes, "baseline")
+    return _report_rollout(cfg, cfg.build_env(), None, None, "baseline")
 
 
-def _report_rollout(cfg: ExperimentConfig, env: CoexEnv, q_net, dual,
-                    episodes: Optional[int], name: str) -> EvalReport:
-    """Greedy rollout of env; writes <name>_report.txt and <name>_log.csv to cfg.out_dir.
-
-    The output directory is made first, so a bad one fails before any simulation.
-    """
+def _report_rollout(cfg: ExperimentConfig, env: CoexEnv, q_net, dual, name: str) -> EvalReport:
+    """Greedy rollout of env over cfg.eval_episodes; writes <name>_report.txt and
+    <name>_log.csv to cfg.out_dir. The output directory is made first, so a bad
+    one fails before any simulation."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    episodes = episodes if episodes is not None else cfg.eval_episodes
-    rollout = greedy_rollout(env, q_net, dual, episodes=episodes, seed=cfg.seed,
+    rollout = greedy_rollout(env, q_net, dual, episodes=cfg.eval_episodes, seed=cfg.seed,
                              scaling=cfg.scaling)
     report = report_from_rollout(rollout, cfg.d_th_us)
     report.write(os.path.join(cfg.out_dir, f"{name}_report.txt"))
@@ -451,13 +452,8 @@ def cmd_compare(report_paths: list[str]) -> str:
                 f"node sets differ between {report_paths[0]} and {report_paths[i]}"
             )
     labels = [os.path.basename(p) for p in report_paths]
-    rows: list[tuple[str, list[float]]] = []
-    for metric in ("mean_pc1_delay_ms", "p95_pc1_delay_ms", "mean_jfi", "violation_fraction"):
-        rows.append((metric, [getattr(r, metric) for r in reports]))
-    for n in base.nodes:
-        rows.append((f"collision_probability[{n}]", [r.collision_probability[n] for r in reports]))
-    for n in base.nodes:
-        rows.append((f"airtime_efficiency[{n}]", [r.airtime_efficiency[n] for r in reports]))
+    tables = [r.metrics() for r in reports]
+    rows = [(key, [table[key] for table in tables]) for key in tables[0]]
 
     width = max(len(r[0]) for r in rows)
     header = ["metric".ljust(width)] + [f"{l:>14}" for l in labels]

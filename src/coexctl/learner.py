@@ -41,11 +41,15 @@ def select_action(qvalues: np.ndarray, epsilon: float, rng: np.random.Generator)
     return int(np.argmax(qvalues))
 
 
-# discount, and the exploration rate's linear anneal over a training's steps
+# discount, the exploration rate's linear anneal over a training's steps, and
+# Adam's moment decay rates and denominator guard
 GAMMA = 0.99
 EPSILON_START = 1.0
 EPSILON_END = 0.01
 EPSILON_ANNEAL_FRACTION = 0.5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def epsilon_at(step: int, total_steps: int) -> float:
@@ -170,12 +174,10 @@ class Adam:
     """Adam over one flat array, in place block by block; per element the
     arithmetic and its order are the textbook update's, whatever the block size."""
 
-    def __init__(self, params: np.ndarray, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, lr: float):
         if params.ndim != 1:
             raise ValueError("Adam updates one flat parameter array")
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         block = min(params.size, _BLOCK)
@@ -184,7 +186,7 @@ class Adam:
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, self.lr, ADAM_EPS
         b1c = 1.0 - b1**self.t
         b2c = 1.0 - b2**self.t
         for lo in range(0, params.size, _BLOCK):
@@ -548,14 +550,14 @@ def _rollout(
     learner: Optional[QLearner] = None,
     hard_episode_resets: bool = False,
     log_hook: Optional[Callable[[StepLog], None]] = None,
-) -> tuple[list[StepLog], list[NodeStats]]:
+) -> list[StepLog]:
     """The per-step control loop of training, evaluation and the baseline.
 
     With a learner, each episode restarts the dual from a sampled lambda0 and
     each step stores its transition and takes one gradient step; otherwise
     lambda carries over between episodes. act(obs, epsilon) returns the
     action, or None to keep the MAC parameters. Without a dual, lambda stays
-    0. Returns the step log and the per-node counters after the first reset.
+    0. Returns the step log.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
@@ -565,15 +567,12 @@ def _rollout(
     # without a dual the pipeline is still logged, at the default kappa
     kappa = dual.kappa if dual is not None else DualController.kappa
     log: list[StepLog] = []
-    start_stats: list[NodeStats] = []
     for episode in range(episodes):
         if learner is not None:
             dual.reset(sample_lambda(learner.rng, dual.lambda_max))
         # a seeded reset builds a fresh medium; otherwise the medium persists
         reset_seed = seed + episode if episode == 0 or hard_episode_resets else None
         obs = env.reset(seed=reset_seed, lambda0=dual.lam if dual is not None else 0.0)
-        if episode == 0:
-            start_stats = env.sim.stats_snapshot()
         for step in range(env.episode_steps):
             eps = epsilon_at(len(log), total_steps) if learner is not None else 0.0
             action = act(obs, eps)
@@ -607,7 +606,7 @@ def _rollout(
             if log_hook is not None:
                 log_hook(entry)
             obs = next_obs
-    return log, start_stats
+    return log
 
 
 def run_training(
@@ -631,21 +630,20 @@ def run_training(
     """
     learner = QLearner(env.observation_dim, env.n_actions, config, seed=seed)
     blas_threads(blas_threads_for(learner.online.dims, config.batch_size))
-    log, _ = _rollout(env, dual, episodes, seed, scaling, learner.act, learner=learner,
-                      hard_episode_resets=hard_episode_resets, log_hook=log_hook)
+    log = _rollout(env, dual, episodes, seed, scaling, learner.act, learner=learner,
+                   hard_episode_resets=hard_episode_resets, log_hook=log_hook)
     return TrainResult(learner=learner, log=log)
 
 
 @dataclass
 class EvalRollout:
-    """A greedy rollout's step log and per-node collision probability and
-    airtime efficiency; harness.report_from_rollout derives the aggregates
-    from the log."""
+    """A greedy rollout's step log, and each node's cumulative NodeStats at its
+    end keyed by simulator node name. The first episode's seeded reset builds
+    a fresh medium that later episodes keep, so the counters cover the whole
+    rollout; harness.report_from_rollout turns them and the log into a report."""
 
     log: list
-    node_names: list
-    collision_probability: dict
-    airtime_efficiency: dict
+    stats: dict[str, NodeStats]
 
 
 def greedy_rollout(
@@ -668,12 +666,5 @@ def greedy_rollout(
     if q_net is not None:
         blas_threads(blas_threads_for(q_net.dims, 1))
 
-    log, start = _rollout(env, dual, episodes, seed, scaling, act)
-    names = env.sim.node_names()
-    window = [end.since(s0) for s0, end in zip(start, env.sim.stats_snapshot())]
-    return EvalRollout(
-        log=log,
-        node_names=names,
-        collision_probability={n: w.collision_probability() for n, w in zip(names, window)},
-        airtime_efficiency={n: w.airtime_efficiency() for n, w in zip(names, window)},
-    )
+    log = _rollout(env, dual, episodes, seed, scaling, act)
+    return EvalRollout(log=log, stats=dict(zip(env.sim.node_names(), env.sim.stats_snapshot())))

@@ -8,6 +8,7 @@ import pytest
 
 from coexctl import harness
 from coexctl.cli import main
+from coexctl.env import EPISODE_STEPS
 
 
 def write_cfg(tmp_path, **over):
@@ -49,8 +50,10 @@ def test_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path)
     out2 = str(tmp_path / "out2")
     assert main(["baseline", "--config", cfg, "--cr-lbt", "on", "--out", out2,
-                 "--seed", "9"]) == 0
+                 "--seed", "9", "--eval-episodes", "2"]) == 0
     assert os.path.exists(os.path.join(out2, "baseline_report.txt"))
+    log = harness.read_step_log(os.path.join(out2, "baseline_log.csv"))
+    assert [row["episode"] for row in log[::EPISODE_STEPS]] == [0, 1]
 
 
 def test_trace_subcommand(tmp_path):
@@ -102,7 +105,8 @@ def test_missing_artifact_errors(tmp_path):
 def test_baseline_with_no_eval_episodes_is_an_error(tmp_path, capsys, n):
     cfg = write_cfg(tmp_path)
     assert main(["baseline", "--config", cfg, "--eval-episodes", n]) == 2
-    assert capsys.readouterr().err.startswith("error: episodes must be >= 1")
+    assert capsys.readouterr().err.startswith(f"error: eval_episodes must be >= 1, got {n}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [["baseline"], ["evaluate", "policy.bin"], ["trace"]])

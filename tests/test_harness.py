@@ -305,8 +305,8 @@ def test_train_log_constraint_consistency(tmp_path, scaling):
 def test_evaluate_report_and_determinism(tmp_path):
     cfg = smoke_config(tmp_path)
     artifact, _ = cmd_train(cfg)
-    r1 = cmd_evaluate(artifact, cfg, episodes=2)
-    r2 = cmd_evaluate(artifact, cfg, episodes=2)
+    r1 = cmd_evaluate(artifact, cfg)
+    r2 = cmd_evaluate(artifact, cfg)
     assert r1 == r2
     assert set(r1.nodes) == {"gNB PC1", "gNB PC3", "AP PC3"}
     assert r1.d_th_ms == 2.0
@@ -324,21 +324,40 @@ def test_evaluate_rejects_mismatched_config(tmp_path, mode, match):
     artifact, _ = cmd_train(cfg)
     wrong = smoke_config(tmp_path, action_mode=mode, out_dir=str(tmp_path / "w"))
     with pytest.raises(ConfigFileError, match=match):
-        cmd_evaluate(artifact, wrong, episodes=1)
+        cmd_evaluate(artifact, wrong)
+
+
+@pytest.mark.parametrize("trained,evaluated", [
+    ({"gnb_pc1": 1}, {}),
+    ({}, {"ap_pc3": 1, "gnb_pc3": 1, "gnb_pc1": 1}),
+], ids=["partial_then_omitted", "omitted_then_spelled_out"])
+def test_evaluate_accepts_counts_spelled_another_way(tmp_path, trained, evaluated):
+    cfg = smoke_config(tmp_path, episodes=1, eval_episodes=1, counts=trained)
+    artifact, _ = cmd_train(cfg)
+    cmd_evaluate(artifact, smoke_config(tmp_path, eval_episodes=1, counts=evaluated))
+
+
+def test_evaluate_refuses_a_different_mix_of_as_many_nodes(tmp_path):
+    cfg = smoke_config(tmp_path, episodes=1, eval_episodes=1, counts={"gnb_pc1": 1})
+    artifact, _ = cmd_train(cfg)
+    other = smoke_config(tmp_path, eval_episodes=1, counts={"gnb_pc1": 0, "gnb_pc3": 2})
+    assert other.build_env().observation_dim == cfg.build_env().observation_dim
+    with pytest.raises(ConfigFileError, match="trained with counts=.*'gnb_pc3': 2"):
+        cmd_evaluate(artifact, other)
 
 
 def test_baseline_schema_matches_evaluate(tmp_path):
-    cfg = smoke_config(tmp_path)
+    cfg = smoke_config(tmp_path, eval_episodes=1)
     artifact, _ = cmd_train(cfg)
-    ev = cmd_evaluate(artifact, cfg, episodes=1)
-    base = cmd_baseline(cfg, episodes=1)
+    ev = cmd_evaluate(artifact, cfg)
+    base = cmd_baseline(cfg)
     assert set(base.nodes) == set(ev.nodes)
     assert set(base.collision_probability) == set(ev.collision_probability)
 
 
 def test_baseline_deterministic(tmp_path):
     cfg = smoke_config(tmp_path)
-    assert cmd_baseline(cfg, episodes=2) == cmd_baseline(cfg, episodes=2)
+    assert cmd_baseline(cfg) == cmd_baseline(cfg)
 
 
 def test_baseline_pc3_collisions_exceed_90_percent(tmp_path):
@@ -351,34 +370,35 @@ def test_baseline_pc3_collisions_exceed_90_percent(tmp_path):
 
 def test_single_contender_report(tmp_path):
     cfg = smoke_config(tmp_path, scenario="single_pc1")
-    report = cmd_baseline(cfg, episodes=2)
+    report = cmd_baseline(cfg)
     assert report.mean_jfi == 1.0
     assert report.collision_probability["gNB PC1"] == 0.0
     assert report.airtime_efficiency["gNB PC1"] > 0.5
 
 
 def test_scenario_counts_configurable(tmp_path):
-    cfg = smoke_config(tmp_path, counts={"gnb_pc1": 1, "gnb_pc3": 2, "ap_pc3": 1})
+    cfg = smoke_config(tmp_path, counts={"gnb_pc1": 1, "gnb_pc3": 2, "ap_pc3": 1},
+                       eval_episodes=1)
     env = cfg.build_env()
     assert env.n_nodes == 4
-    report = cmd_baseline(cfg, episodes=1)
+    report = cmd_baseline(cfg)
     assert set(report.nodes) == {"gNB PC1", "gNB PC3 #0", "gNB PC3 #1", "AP PC3"}
 
 
 def test_eval_logs_are_greedy(tmp_path):
-    cfg = smoke_config(tmp_path)
+    cfg = smoke_config(tmp_path, eval_episodes=1)
     artifact, _ = cmd_train(cfg)
-    cmd_evaluate(artifact, cfg, episodes=1)
+    cmd_evaluate(artifact, cfg)
     rows = read_step_log(os.path.join(cfg.out_dir, "eval_log.csv"))
     assert all(r["epsilon"] == 0.0 for r in rows)
 
 
 @pytest.mark.parametrize("mode,cardinality", [("aifsn", 21), ("mcot", 49)])
 def test_other_action_modes_train_and_evaluate(tmp_path, mode, cardinality):
-    cfg = smoke_config(tmp_path, action_mode=mode, episodes=1)
+    cfg = smoke_config(tmp_path, action_mode=mode, episodes=1, eval_episodes=1)
     artifact, log = cmd_train(cfg)
     assert len(read_step_log(log)) == 100
-    report = cmd_evaluate(artifact, cfg, episodes=1)
+    report = cmd_evaluate(artifact, cfg)
     assert 0.0 <= report.mean_jfi <= 1.0
     env = cfg.build_env()
     assert env.n_actions == cardinality
@@ -395,7 +415,7 @@ def test_hard_episode_resets_flag(tmp_path):
 
 def test_report_aggregation_matches_log(tmp_path):
     cfg = smoke_config(tmp_path)
-    report = cmd_baseline(cfg, episodes=2)
+    report = cmd_baseline(cfg)
     rows = read_step_log(os.path.join(cfg.out_dir, "baseline_log.csv"))
     assert report.mean_jfi == pytest.approx(np.mean([r["jfi"] for r in rows]), abs=1e-9)
     assert report.mean_pc1_delay_ms == pytest.approx(
@@ -406,8 +426,8 @@ def test_report_aggregation_matches_log(tmp_path):
 
 
 def test_report_file_roundtrip(tmp_path):
-    cfg = smoke_config(tmp_path)
-    report = cmd_baseline(cfg, episodes=1)
+    cfg = smoke_config(tmp_path, eval_episodes=1)
+    report = cmd_baseline(cfg)
     again = read_report(os.path.join(cfg.out_dir, "baseline_report.txt"))
     assert again == report
 
@@ -440,6 +460,22 @@ def test_report_with_a_repeated_key_is_refused_by_line(tmp_path, capsys):
     good.write_text("\n".join(lines) + "\n")
     bad.write_text("\n".join(lines + ["mean_jfi=0.9"]) + "\n")
     match = f"bad.txt:{len(lines) + 1}: repeated report key 'mean_jfi'"
+    with pytest.raises(ValueError, match=match):
+        read_report(str(bad))
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["mean_jfi", "airtime_efficiency[ap]"])
+def test_report_with_a_non_finite_value_is_refused_by_line(tmp_path, capsys, key, value):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    lines = synthetic_report().to_lines()
+    good.write_text("\n".join(lines) + "\n")
+    number = next(i for i, line in enumerate(lines, 1) if line.startswith(key + "="))
+    lines[number - 1] = f"{key}={value}"
+    bad.write_text("\n".join(lines) + "\n")
+    match = f"bad.txt:{number}: non-finite report value"
     with pytest.raises(ValueError, match=match):
         read_report(str(bad))
     assert main(["compare", str(good), str(bad)]) == 2
