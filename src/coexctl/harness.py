@@ -301,18 +301,21 @@ def read_report(path: str) -> EvalReport:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}: report line without '=': {line!r}")
+                raise ValueError(f"{path}:{number}: report line without '=': {line!r}")
             key, value = line.split("=", 1)
             if key in seen:
                 raise ValueError(f"{path}:{number}: repeated report key {key!r}: {line!r}")
             seen.add(key)
-            parsed = float(value)
+            try:
+                parsed = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{number}: report value is not a number: {line!r}") from None
             if not math.isfinite(parsed):
                 raise ValueError(f"{path}:{number}: non-finite report value: {line!r}")
             metric, _, node = key.partition("[")
             if metric in per_node:
                 if not node.endswith("]"):
-                    raise ValueError(f"{path}: per-node report line without ']': {line!r}")
+                    raise ValueError(f"{path}:{number}: per-node report line without ']': {line!r}")
                 per_node[metric][node[:-1]] = parsed
             else:
                 scalars[key] = parsed

@@ -38,8 +38,11 @@ check aborts the train, so no hold can start during a train that passed its
 check: it is the channel's only occupant until its last pulse ends. So the
 pulses after the check are settled in closed form, by the last pulse end and
 at the end of each run_for window: each pulse ended adds its half to occupancy
-and pulse_us, an open pulse sets the occupancy count and start, and their
-CR_PULSE outcomes are built in one batch, in time and node-index order.
+and pulse_us, and an open pulse sets the occupancy count and start. The pulses
+a settle ends become one record, (first pulse start, stop, keys), where keys
+are the members' (idx, tech, pclass); run_for returns them as Outcomes, which
+expands each record into its CR_PULSE outcomes, in time and node-index order,
+only when a caller first reads it.
 
 Every running countdown is served by one access timer kept beside the heap,
 always at the earliest countdown end.
@@ -49,9 +52,10 @@ from __future__ import annotations
 
 import heapq
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -138,6 +142,44 @@ class TxOutcome:
         return self.end_us - self.start_us
 
 
+class Outcomes(Sequence):
+    """run_for's outcomes, read-only; the first read expands the CR pulse records.
+
+    A pulse record (first pulse start, stop, member keys) stands for the pulses
+    starting in range(first, stop, CR_SLOT_US), each for every member. Expanding
+    reads or changes no simulator state. Wrap it in list() to mutate or concatenate.
+    """
+
+    __slots__ = ("_items", "_list")
+
+    def __init__(self, items: list[Union[TxOutcome, tuple]]):
+        self._items = items
+        self._list: Optional[list[TxOutcome]] = None
+
+    def _expanded(self) -> list[TxOutcome]:
+        if self._list is None:
+            slot, half, out = CR_SLOT_US, CR_SLOT_US // 2, []
+            for item in self._items:
+                if type(item) is tuple:
+                    first, stop, keys = item
+                    out += [TxOutcome(idx, tech, pclass, TxKind.CR_PULSE, start, start + half)
+                            for start in range(first, stop, slot)
+                            for idx, tech, pclass in keys]
+                else:
+                    out.append(item)
+            self._list, self._items = out, []
+        return self._list
+
+    def __len__(self) -> int:
+        return len(self._expanded())
+
+    def __getitem__(self, i):
+        return self._expanded()[i]
+
+    def __iter__(self):
+        return iter(self._expanded())
+
+
 @dataclass
 class NodeStats:
     """Cumulative per-node counters (monotone; callers diff for windows)."""
@@ -192,6 +234,7 @@ class _Train:
     t0: int
     members: list["NodeState"]
     n_pulses: int
+    keys: tuple[tuple[int, Tech, PClass], ...]  # the members' (idx, tech, pclass)
     edges: int = 1  # pulse edges run so far; edge i is at t0 + i * CR_SLOT_US / 2
 
 
@@ -288,7 +331,7 @@ class Simulator:
         self._occ_since = 0
         self._occupied_us = 0
         self._fires: dict[int, list[NodeState]] = {}
-        self._outcomes: list[TxOutcome] = []
+        self._outcomes: list[Union[TxOutcome, tuple]] = []  # and pulse records (see Outcomes)
         # apply_mac_params' validated configs, by (old config fields, update)
         self._built_cfgs: dict[tuple, ContenderConfig] = {}
         # the train whose pulses are settled lazily: it passed its listen check
@@ -305,11 +348,13 @@ class Simulator:
     # ------------------------------------------------------------------
     # public API
 
-    def run_for(self, duration_us: int) -> list[TxOutcome]:
+    def run_for(self, duration_us: int) -> Outcomes:
         """Advance the event loop exactly duration_us; return outcomes ending in the window."""
+        if isinstance(duration_us, bool) or not isinstance(duration_us, (int, np.integer)):
+            raise TypeError(f"duration_us must be an integer number of us, got {duration_us!r}")
         if duration_us <= 0:
             raise ValueError("duration_us must be > 0")
-        target = self.clock + duration_us
+        target = self.clock + int(duration_us)
         out = self._outcomes = []
         heap, handlers = self._heap, self._handlers
         while True:
@@ -329,7 +374,7 @@ class Simulator:
         if self._lazy is not None:
             self._settle(self._lazy, target)
         self.clock = target
-        return out
+        return Outcomes(out)
 
     def apply_mac_params(self, assignment: dict[tuple[Tech, PClass], dict]) -> None:
         """Update MAC parameters per (tech, pclass); takes effect at next draws.
@@ -488,7 +533,8 @@ class Simulator:
 
     def _start_train(self, t: int, members: list[NodeState]) -> None:
         """A train's first pulse: its members hold the channel until their last pulse ends."""
-        tr = _Train(t, members, members[0].commit.n_pulses)
+        keys = tuple((node.idx, node.cfg.tech, node.cfg.pclass) for node in members)
+        tr = _Train(t, members, members[0].commit.n_pulses, keys)
         for node in members:
             node.commit.held = True
         self._blocking_start(t, len(members))
@@ -528,12 +574,8 @@ class Simulator:
             if stop % 2:
                 self._occ_since = tr.t0 + (stop - 1) * half
         tr.edges = stop
-        keys = [(node.idx, node.cfg.tech, node.cfg.pclass) for node in tr.members]
-        self._outcomes += [
-            TxOutcome(idx, tech, pclass, TxKind.CR_PULSE, start, start + half)
-            for start in range(tr.t0 + first * slot, tr.t0 + ended * slot, slot)
-            for idx, tech, pclass in keys
-        ]
+        if ended > first:
+            self._outcomes.append((tr.t0 + first * slot, tr.t0 + ended * slot, tr.keys))
         for node in tr.members:
             node.stats.pulse_us += (ended - first) * half
 

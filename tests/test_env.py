@@ -10,6 +10,7 @@ from coexctl.env import (
     single_pc1_preset,
     coex_mix_preset,
 )
+from coexctl import medium
 from coexctl.medium import CR_SLOT_US, PClass, Simulator, Tech, TxKind
 from coexctl.metrics import ALPHA_DELAY, ema_update, jain_index
 
@@ -329,3 +330,24 @@ def test_a_dense_cr_step_pushes_few_heap_events(monkeypatch):
     half = CR_SLOT_US // 2
     assert sum(node.stats.pulse_us for node in env.sim.nodes) // half > 10 * 200
     assert len(kinds) <= 8 * 200
+
+
+def test_steps_build_no_cr_pulse_outcomes(monkeypatch):
+    # CoexEnv.step reads no outcome, so run_for builds only its frames' TxOutcomes
+    env = CoexEnv(coex_mix_preset(2, 3, 3), action_mode="aifsn", cr_lbt=True)
+    env.reset(seed=9)
+    built = []
+    tx_outcome = medium.TxOutcome
+
+    def counted(*args):
+        built.append(args)
+        return tx_outcome(*args)
+
+    monkeypatch.setattr(medium, "TxOutcome", counted)
+    rng = np.random.default_rng(9)
+    before = env.sim.stats_snapshot()
+    for _ in range(env.episode_steps):
+        env.step(int(rng.integers(env.n_actions)))
+    window = [now.since(start) for now, start in zip(env.sim.stats_snapshot(), before)]
+    assert sum(s.pulse_us for s in window) > 0
+    assert len(built) <= sum(s.attempts for s in window)

@@ -449,8 +449,9 @@ def test_report_without_a_scalar_is_refused_by_name(tmp_path, capsys, drop, matc
 
 def test_report_line_without_equals_is_refused(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("\n".join(synthetic_report().to_lines()) + "\nmean_jfi 0.5\n")
-    with pytest.raises(ValueError, match="without '='.*mean_jfi 0.5"):
+    lines = synthetic_report().to_lines()
+    path.write_text("\n".join(lines) + "\nmean_jfi 0.5\n")
+    with pytest.raises(ValueError, match=f"bad.txt:{len(lines) + 1}: .*without '='.*mean_jfi 0.5"):
         read_report(str(path))
 
 
@@ -482,10 +483,27 @@ def test_report_with_a_non_finite_value_is_refused_by_line(tmp_path, capsys, key
     assert match in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["mean_jfi", "airtime_efficiency[ap]"])
+def test_report_with_a_value_that_is_not_a_number_is_refused_by_line(tmp_path, capsys, key):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    lines = synthetic_report().to_lines()
+    good.write_text("\n".join(lines) + "\n")
+    number = next(i for i, line in enumerate(lines, 1) if line.startswith(key + "="))
+    lines[number - 1] = f"{key}=abc"
+    bad.write_text("\n".join(lines) + "\n")
+    match = f"bad.txt:{number}: report value is not a number"
+    with pytest.raises(ValueError, match=match):
+        read_report(str(bad))
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert match in capsys.readouterr().err
+
+
 def test_per_node_report_line_without_closing_bracket_is_refused(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("\n".join(synthetic_report().to_lines()) + "\ncollision_probability[a=0.1\n")
-    with pytest.raises(ValueError, match=r"without '\]'.*collision_probability\[a=0\.1"):
+    lines = synthetic_report().to_lines()
+    path.write_text("\n".join(lines) + "\ncollision_probability[a=0.1\n")
+    match = rf"bad.txt:{len(lines) + 1}: .*without '\]'.*collision_probability\[a=0\.1"
+    with pytest.raises(ValueError, match=match):
         read_report(str(path))
 
 

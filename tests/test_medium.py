@@ -331,9 +331,25 @@ def test_run_for_requires_positive_duration():
         sim.run_for(0)
 
 
+@pytest.mark.parametrize("duration", [2500.5, 2500.0, True, False])
+def test_run_for_refuses_a_duration_that_is_not_an_integer(duration):
+    sim = Simulator(coex_mix_contenders(), seed=0)
+    with pytest.raises(TypeError, match=f"got {duration!r}$"):
+        sim.run_for(duration)
+    assert sim.clock == 0
+
+
+@pytest.mark.parametrize("duration", [np.int64(2500), np.int32(2500), np.uint16(2500)])
+def test_run_for_accepts_a_numpy_integer_duration(duration):
+    sims = [Simulator(coex_mix_contenders(), seed=0) for _ in range(2)]
+    key = lambda o: (o.node, o.kind, o.start_us, o.end_us, o.access_delay_us)
+    assert [key(o) for o in sims[0].run_for(duration)] == [key(o) for o in sims[1].run_for(2500)]
+    assert sims[0].clock == 2500 and type(sims[0].clock) is int
+
+
 def test_run_for_split_windows_compose():
     sims = [Simulator(coex_mix_contenders(), seed=5) for _ in range(2)]
-    whole = sims[0].run_for(2500) + sims[0].run_for(2500)
+    whole = list(sims[0].run_for(2500)) + list(sims[0].run_for(2500))
     halves = []
     for _ in range(4):
         halves.extend(sims[1].run_for(1250))
@@ -656,7 +672,7 @@ def test_short_windows_give_the_results_of_one_long_window():
             for _ in range(2)]
     for sim in sims:
         sim.apply_mac_params(assignment)
-    whole = sims[0].run_for(200_000)
+    whole = list(sims[0].run_for(200_000))
     short, sim = [], sims[1]
     edges, occupied, pulse_us = [], [0], 0
     while sim.clock < 200_000:
@@ -679,6 +695,33 @@ def test_short_windows_give_the_results_of_one_long_window():
     # at every edge, occupancy counts each pulse and frame started by then
     whole.extend(sims[0].run_for(10_000))  # end what spans the last edge
     assert occupied[1:] == union_us_before([(o.start_us, o.end_us) for o in whole], edges)
+
+
+def test_reading_the_outcomes_changes_no_simulator_state():
+    # two same-seed runs of the 2+3+3 CR-LBT mix in random windows: one reads
+    # each window's outcomes at once (length, iteration, indexing), the other
+    # keeps them unread until the end, as the perfbench tracer does
+    rng = np.random.default_rng(41)
+    sims = [Simulator(dense_cr_contenders(), cr_lbt_enabled=True, seed=37) for _ in range(2)]
+    key = lambda o: (o.node, o.kind, o.start_us, o.end_us, o.access_delay_us)
+    read, kept = [], []
+    while sims[0].clock < 100_000:
+        duration = int(rng.integers(1, 3_000))
+        out = sims[0].run_for(duration)
+        items = list(out)
+        assert len(out) == len(items) and all(out[i] is o for i, o in enumerate(items))
+        assert out[-len(items):] == items
+        read += [key(o) for o in out]
+        kept.append(sims[1].run_for(duration))
+
+    def state(sim):
+        return ([vars(s) for s in sim.stats_snapshot()], sim.clock, sim.occupied_us_at(),
+                [(n.state, n.backoff, n.cw_current, n.hol_since_us) for n in sim.nodes],
+                sim.rng.bit_generator.state)
+
+    assert state(sims[0]) == state(sims[1])
+    assert [key(o) for out in kept for o in out] == read
+    assert sum(kind == TxKind.CR_PULSE for _, kind, *_ in read) > 1000
 
 
 def test_each_cr_pulse_outcome_is_half_a_slot_of_its_nodes_pulse_us():
