@@ -46,11 +46,13 @@ def sample_lambda(rng: np.random.Generator, lambda_max: float) -> float:
 
 
 def augment_state(obs: np.ndarray, lam: float, lambda_max: float) -> np.ndarray:
-    """Append the normalized dual variable lambda/lambda_max as one feature."""
+    """A new float64 vector: obs, then lambda/lambda_max (0.0 when lambda_max is 0)."""
     if not 0.0 <= lam <= max(lambda_max, 0.0) + 1e-12:
         raise ValueError(f"lambda {lam} outside [0, {lambda_max}]")
-    feat = lam / lambda_max if lambda_max > 0 else 0.0
-    return np.concatenate([np.asarray(obs, dtype=np.float64), [feat]])
+    out = np.empty(len(obs) + 1)
+    out[:-1] = obs
+    out[-1] = lam / lambda_max if lambda_max > 0 else 0.0
+    return out
 
 
 @dataclass

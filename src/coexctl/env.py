@@ -23,6 +23,8 @@ from .medium import (
     PClass,
     Simulator,
     Tech,
+    counter_diff,
+    counters,
 )
 
 STEP_DURATION_US = 2500
@@ -148,9 +150,10 @@ class CoexEnv:
         self.lambda_max = DualController.lambda_max
         self._step_count = 0
         self._metrics: Optional[met.StepMetrics] = None
-        # PC1 node indices; per-node counters and occupancy at the last window edge
+        # PC1 node indices, live NodeStats; counter tuples, occupancy at the last window edge
         self._pc1: list[int] = []
-        self._prev_stats: list = []
+        self._live: list = []
+        self._prev_counts: list[tuple] = []
         self._prev_occupied = 0
 
     # ------------------------------------------------------------------
@@ -187,7 +190,8 @@ class CoexEnv:
             self._pc1 = [n.idx for n in self.sim.nodes if n.cfg.pclass == PClass.PC1]
         self._step_count = 0
         self._metrics = met.StepMetrics.initial(len(self.sim.nodes))
-        self._prev_stats = self.sim.stats_snapshot()
+        self._live = [n.stats for n in self.sim.nodes]
+        self._prev_counts = list(map(counters, self._live))
         self._prev_occupied = self.sim.occupied_us_at()
         self.lam = lambda0
         return self._observe()
@@ -217,9 +221,9 @@ class CoexEnv:
             self._apply_action(action)
         sim = self.sim
         sim.run_for(STEP_DURATION_US)
-        stats = sim.stats_snapshot()
-        window = [now.since(before) for now, before in zip(stats, self._prev_stats)]
-        self._prev_stats = stats
+        counts = list(map(counters, self._live))
+        window = list(map(counter_diff, counts, self._prev_counts))
+        self._prev_counts = counts
         occupied = sim.occupied_us_at()
         busy = occupied - self._prev_occupied
         self._prev_occupied = occupied

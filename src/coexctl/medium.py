@@ -194,7 +194,7 @@ class NodeStats:
 
     def since(self, start: "NodeStats") -> "NodeStats":
         """Counters accumulated after the snapshot start (a window diff)."""
-        return NodeStats(*map(operator.sub, _counters(self), _counters(start)))
+        return counter_diff(counters(self), counters(start))
 
     @property
     def attempts(self) -> int:
@@ -209,8 +209,14 @@ class NodeStats:
 
 
 # a NodeStats' counters and a ContenderConfig's contents, as tuples in field order
-_counters = operator.attrgetter(*(f.name for f in fields(NodeStats)))
+counters = operator.attrgetter(*(f.name for f in fields(NodeStats)))
 _cfg_fields = operator.attrgetter(*(f.name for f in fields(ContenderConfig)))
+
+
+def counter_diff(now: tuple, start: tuple) -> NodeStats:
+    """The counters gained from the tuple start to the tuple now, as a NodeStats."""
+    return NodeStats(*map(operator.sub, now, start))
+
 
 # Node life cycle states.
 _DEFER = 0     # waiting for the channel to go idle
@@ -407,7 +413,7 @@ class Simulator:
         return total
 
     def stats_snapshot(self) -> list[NodeStats]:
-        return [NodeStats(*_counters(n.stats)) for n in self.nodes]
+        return [NodeStats(*counters(n.stats)) for n in self.nodes]
 
     def node_names(self) -> list[str]:
         return [n.name for n in self.nodes]

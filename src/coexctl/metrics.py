@@ -33,15 +33,19 @@ def jain_index(airtimes: Sequence[float]) -> float:
 
     An all-zero vector is vacuously fair and returns 1.0. Values are divided
     by the largest one first so that squaring tiny airtimes cannot underflow.
+    Both sums add left to right from 0.0, so every CPython gives the same bits
+    (builtin sum() of floats is compensated from 3.12 on).
     """
     if len(airtimes) == 0:
         raise ValueError("jain_index requires a non-empty list")
     peak = float(max(airtimes))
     if peak == 0.0:
         return 1.0
-    scaled = [float(x) / peak for x in airtimes]
-    total = sum(scaled)
-    sq = sum(x * x for x in scaled)
+    total = sq = 0.0
+    for x in airtimes:
+        x = float(x) / peak
+        total += x
+        sq += x * x
     return total * total / (len(airtimes) * sq)
 
 
@@ -95,8 +99,9 @@ def step_metrics(
 ) -> StepMetrics:
     """Fold one window's per-node counters into the next StepMetrics.
 
-    window holds each node's counters accumulated inside the window
-    (NodeStats.since), in node-index order; pc1_nodes are the indices of the
+    window holds each node's counters gained inside the window (counter_diff
+    of its counter tuples at the edges, as NodeStats.since), one per node of
+    prev in node-index order, else ValueError; pc1_nodes are the indices of the
     PC1 nodes, whose mean access delay is the instantaneous delay. busy_us is
     the channel occupancy inside the window, from the simulator's occupancy
     integrator, so frames still in flight at the window edges count.
@@ -111,25 +116,30 @@ def step_metrics(
     """
     if window_us <= 0:
         raise ValueError("window_us must be > 0")
+    if len(window) != len(prev.collision_rate):
+        raise ValueError(f"window has {len(window)} nodes, state {len(prev.collision_rate)}")
 
-    # per-node collision rate, carried when a node made no attempts
-    rates = [s.collision_probability() if s.attempts else r
-             for s, r in zip(window, prev.collision_rate)]
-
-    total_succ = sum(s.successes for s in window)
-    total_coll = sum(s.collisions for s in window)
-    agg = (
-        total_coll / (total_succ + total_coll)
-        if (total_succ + total_coll)
-        else prev.coll_rate_agg
-    )
+    rates, airtimes, airtime_ema = [], [], []
+    total_succ = total_coll = 0
+    for s, r, e in zip(window, prev.collision_rate, prev.airtime_ema):
+        total_succ += s.successes
+        total_coll += s.collisions
+        # per-node collision rate, carried when a node made no attempts
+        rates.append(s.collision_probability() if s.successes or s.collisions else r)
+        airtimes.append(s.success_air_us)
+        airtime_ema.append(ema_update(e, float(s.success_air_us), ALPHA_DELAY))
+    attempts = total_succ + total_coll
+    agg = total_coll / attempts if attempts else prev.coll_rate_agg
     fast = ema_update(prev.coll_ema_fast, agg, ALPHA_FAST)
     slow = ema_update(prev.coll_ema_slow, agg, ALPHA_SLOW)
 
     # exact integer sums, so the quotient is the correctly rounded mean
-    pc1_succ = sum(window[i].successes for i in pc1_nodes)
+    pc1_succ = pc1_delay_sum = 0
+    for i in pc1_nodes:
+        pc1_succ += window[i].successes
+        pc1_delay_sum += window[i].delay_sum_us
     if pc1_succ:
-        delay_inst = sum(window[i].delay_sum_us for i in pc1_nodes) / pc1_succ
+        delay_inst = pc1_delay_sum / pc1_succ
     elif pc1_pending_age_us > 4 * d_th_us:
         delay_inst = max(prev.pc1_delay_inst_us, float(pc1_pending_age_us))
     else:
@@ -140,9 +150,6 @@ def step_metrics(
     # nothing scores the 1/n floor rather than a vacuous or stale value, so a
     # collision-collapsed channel cannot keep earning ghost fairness. The
     # smoothed per-node shares are still tracked for reporting.
-    airtimes = [s.success_air_us for s in window]
-    airtime_ema = [ema_update(e, float(x), ALPHA_DELAY)
-                   for e, x in zip(prev.airtime_ema, airtimes)]
     jfi = jain_index(airtimes) if any(airtimes) else 1.0 / len(airtimes)
 
     util = min(busy_us / window_us, 1.0)
@@ -183,7 +190,7 @@ def build_observation(metrics: StepMetrics, d_th_us: float) -> np.ndarray:
         metrics.airtime_util,
         metrics.violation_rate,
     ], dtype=np.float64)
-    return np.clip(vec, -OBS_CLIP, OBS_CLIP, out=vec)
+    return vec.clip(-OBS_CLIP, OBS_CLIP, out=vec)
 
 
 def observation_dim(n_nodes: int) -> int:

@@ -1,5 +1,9 @@
 """Environment: action decoding, reset/step semantics, episode structure."""
 
+import hashlib
+import struct
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -308,6 +312,35 @@ def test_step_signals_equal_a_recount_of_the_outcome_stream(monkeypatch, mode):
             assert info.airtime_ema == ref["ema"]
             assert info.pc1_delay_inst_us == ref["delay"]
     assert len(windows) == 300
+
+
+def signal_stream_digest(mode):
+    """SHA-256 over 100 random-action steps of the dense CR mix: each step's
+    observation bytes, then every float of its StepMetrics in field order."""
+    env = CoexEnv(coex_mix_preset(2, 3, 3), action_mode=mode, cr_lbt=True)
+    rng = np.random.default_rng(16)
+    h = hashlib.sha256(env.reset(seed=16).tobytes())
+    for _ in range(100):
+        res = env.step(int(rng.integers(env.n_actions)))
+        h.update(res.observation.tobytes())
+        values = [v for f in astuple(res.info) for v in (f if isinstance(f, list) else [f])]
+        h.update(struct.pack(f"<{len(values)}d", *values))
+    return h.hexdigest()
+
+
+# Pinned before the window fold became one pass. The stream uses only
+# IEEE basic operations (no BLAS, no libm), so the pins hold on any machine
+# and interpreter.
+SIGNAL_STREAM_PINS = {
+    "cw": "d2a96a041abecdbbeb37094dc1d8757fb6e2f1a82bcac4ebcd42ea8d495dd5d7",
+    "aifsn": "998d80c85634c5e30a1a6ac1773815247f68d6e6098e5be19adc66ee2c029308",
+    "mcot": "04730aea4a83b46ef87ad754790b584e5b3e2027bfd8b0a02348ae038fe743ea",
+}
+
+
+@pytest.mark.parametrize("mode", ["cw", "aifsn", "mcot"])
+def test_dense_cr_signal_stream_is_pinned(mode):
+    assert signal_stream_digest(mode) == SIGNAL_STREAM_PINS[mode]
 
 
 def test_a_dense_cr_step_pushes_few_heap_events(monkeypatch):

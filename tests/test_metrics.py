@@ -57,6 +57,11 @@ def test_jain_unity_iff_equal():
     assert jain_index([2.5, 2.5, 2.4]) < 1.0
 
 
+def test_jain_bits_are_the_left_to_right_sums():
+    # the compensated builtin sum() of CPython 3.12+ gives 0x1.9d460c7c28604p-2
+    assert jain_index([3392, 1000, 0, 0, 0, 3290, 0, 1311]).hex() == "0x1.9d460c7c28601p-2"
+
+
 # ----------------------------------------------------------------------
 # ema_update
 
@@ -109,6 +114,11 @@ def test_collision_rate_counting_oracle():
     assert m.collision_rate[0] == pytest.approx(0.75)
     assert m.collision_rate[1] == 0.0
     assert m.collision_rate[2] == prev.collision_rate[2]  # no attempts: carried
+
+
+def test_window_of_another_node_count_is_refused():
+    with pytest.raises(ValueError, match="window has 3 nodes, state 2"):
+        step_metrics(quiet3(), [], StepMetrics.initial(2), 2500, busy_us=0, d_th_us=2000.0)
 
 
 def test_delay_carry_rule():
