@@ -23,7 +23,6 @@ from .medium import (
     PClass,
     Simulator,
     Tech,
-    counter_diff,
     counters,
 )
 
@@ -175,9 +174,6 @@ class CoexEnv:
     def step_count(self) -> int:
         return self._step_count
 
-    def current_metrics(self) -> met.StepMetrics:
-        return self._metrics
-
     def reset(self, seed: Optional[int] = None, lambda0: float = 0.0) -> np.ndarray:
         """Start an episode; a seed forces a fresh simulator (on the contenders'
         default MAC parameters), otherwise the medium persists and only
@@ -222,8 +218,6 @@ class CoexEnv:
         sim = self.sim
         sim.run_for(STEP_DURATION_US)
         counts = list(map(counters, self._live))
-        window = list(map(counter_diff, counts, self._prev_counts))
-        self._prev_counts = counts
         occupied = sim.occupied_us_at()
         busy = occupied - self._prev_occupied
         self._prev_occupied = occupied
@@ -231,7 +225,8 @@ class CoexEnv:
             (sim.clock - sim.nodes[i].hol_since_us for i in self._pc1), default=0
         )
         self._metrics = met.step_metrics(
-            window,
+            counts,
+            self._prev_counts,
             self._pc1,
             self._metrics,
             STEP_DURATION_US,
@@ -239,6 +234,7 @@ class CoexEnv:
             d_th_us=self.d_th_us,
             pc1_pending_age_us=pending_age,
         )
+        self._prev_counts = counts
         self._step_count += 1
         done = self._step_count >= EPISODE_STEPS
         return StepResult(

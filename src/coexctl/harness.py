@@ -201,11 +201,11 @@ def _fmt(value) -> str:
 
 
 def write_step_log(path: str, rows: list[StepLog]) -> None:
+    """CSV with a header row and CRLF line ends, the bytes csv.writer gives: no value
+    holds a comma, quote or newline, and str of a float is its repr."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(StepLog.FIELDS)
-        for r in rows:
-            w.writerow([_fmt(v) for v in r.row()])
+        f.write(",".join(StepLog.FIELDS) + "\r\n")
+        f.writelines(",".join(map(str, StepLog.row(r))) + "\r\n" for r in rows)
 
 
 def read_step_log(path: str) -> list[dict]:

@@ -14,6 +14,7 @@ import ctypes
 import functools
 import hashlib
 import json
+import operator
 import struct
 from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar, Optional
@@ -524,14 +525,14 @@ class StepLog:
     action: int
     loss: float
 
-    # the CSV header: the field names in declaration order, set below
+    # the CSV header: the field names in declaration order, and StepLog.row(entry):
+    # the entry's values in that order as a tuple; both set below
     FIELDS: ClassVar[tuple[str, ...]]
-
-    def row(self) -> list:
-        return [getattr(self, f) for f in self.FIELDS]
+    row: ClassVar[Callable[["StepLog"], tuple]]
 
 
 StepLog.FIELDS = tuple(f.name for f in fields(StepLog))
+StepLog.row = operator.attrgetter(*StepLog.FIELDS)
 
 
 @dataclass

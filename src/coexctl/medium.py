@@ -45,7 +45,10 @@ expands each record into its CR_PULSE outcomes, in time and node-index order,
 only when a caller first reads it.
 
 Every running countdown is served by one access timer kept beside the heap,
-always at the earliest countdown end.
+always at the earliest countdown end. The idle and freeze sweeps set it as
+they go; an access sweep re-arms it after, as an access can freeze later
+nodes. The nodes with a frame on air are kept in a list, which a frame start
+marks as collided without a sweep.
 """
 
 from __future__ import annotations
@@ -192,16 +195,12 @@ class NodeStats:
     pulse_us: int = 0
     delay_sum_us: int = 0
 
-    def since(self, start: "NodeStats") -> "NodeStats":
-        """Counters accumulated after the snapshot start (a window diff)."""
-        return counter_diff(counters(self), counters(start))
-
     @property
     def attempts(self) -> int:
         return self.successes + self.collisions
 
     def collision_probability(self) -> float:
-        return self.collisions / self.attempts if self.attempts else 0.0
+        return collision_probability(self.successes, self.collisions)
 
     def airtime_efficiency(self) -> float:
         occupied = self.success_air_us + self.collision_air_us + self.reserve_us + self.pulse_us
@@ -213,9 +212,10 @@ counters = operator.attrgetter(*(f.name for f in fields(NodeStats)))
 _cfg_fields = operator.attrgetter(*(f.name for f in fields(ContenderConfig)))
 
 
-def counter_diff(now: tuple, start: tuple) -> NodeStats:
-    """The counters gained from the tuple start to the tuple now, as a NodeStats."""
-    return NodeStats(*map(operator.sub, now, start))
+def collision_probability(successes: int, collisions: int) -> float:
+    """The share of a node's attempts that collided, 0.0 without attempts."""
+    attempts = successes + collisions
+    return collisions / attempts if attempts else 0.0
 
 
 # Node life cycle states.
@@ -343,6 +343,7 @@ class Simulator:
         # the train whose pulses are settled lazily: it passed its listen check
         # and its next event is its last pulse end
         self._lazy: Optional[_Train] = None
+        self._on_air: list[NodeState] = []  # the nodes whose data frame is in flight
         # the access timer: the earliest pending_at, or _NEVER
         self._access_at = _NEVER
         self._cache_aifs()
@@ -466,25 +467,34 @@ class Simulator:
             self._on_idle(t)
 
     def _freeze_pending(self, t: int) -> None:
+        slot, due = OBS_SLOT_US, _NEVER
         for node in self.nodes:
-            if node.state != _PENDING or node.pending_at <= t:
+            if node.state != _PENDING:
+                continue
+            if node.pending_at <= t:
                 # an access at exactly t completed its last slot; let it fire
+                if node.pending_at < due:
+                    due = node.pending_at
                 continue
             # the slots counted down since the node's AIFS ended
-            elapsed = max(t - node.anchor - node.aifs, 0)
-            node.backoff -= min(elapsed // OBS_SLOT_US, node.backoff)
+            elapsed = t - node.anchor - node.aifs
+            if elapsed >= slot:
+                left = node.backoff - elapsed // slot
+                node.backoff = left if left > 0 else 0
             node.state = _DEFER
-        self._arm_access()
+        self._access_at = due
 
     def _on_idle(self, t: int) -> None:
-        slot = OBS_SLOT_US
+        slot, first = OBS_SLOT_US, _NEVER
         for node in self.nodes:
             if node.state > _PENDING:  # committed or transmitting
                 continue
             node.anchor = t
             node.state = _PENDING
-            node.pending_at = t + node.aifs + slot * node.backoff
-        self._arm_access()
+            at = node.pending_at = t + node.aifs + slot * node.backoff
+            if at < first:
+                first = at
+        self._access_at = first
 
     def _arm_access(self) -> None:
         """Point the access timer at the earliest pending countdown, if any."""
@@ -614,9 +624,9 @@ class Simulator:
 
     def _start_tx(self, node: NodeState, t: int) -> None:
         node.collided = False
-        for other in self.nodes:
-            if other.state == _TX:
-                other.collided = node.collided = True
+        for other in self._on_air:
+            other.collided = node.collided = True
+        self._on_air.append(node)
         node.state = _TX
         self._occ_start(t)
         self._blocking_start(t)
@@ -638,5 +648,6 @@ class Simulator:
             self._emit(node, TxKind.SUCCESS, start, t, delay)
             on_success(node, t, self.rng)
         node.state = _DEFER
+        self._on_air.remove(node)
         self._occ_end(t)
         self._blocking_end(t)

@@ -1,7 +1,8 @@
 """Per-control-step performance signals derived from the simulator's per-node counters.
 
-Converts one control window's per-node NodeStats (the simulator's cumulative
-counters diffed across the window) into the smoothed signal set the controller
+Converts one control window's per-node counters (the simulator's cumulative
+counter tuples, medium.counters, read at both window edges and diffed field by
+field where a signal reads them) into the smoothed signal set the controller
 observes: Jain's fairness index over per-node successful airtime,
 instantaneous and EMA-smoothed PC1 access delay, per-node collision rates, a
 fast-minus-slow collision trend, channel airtime utilization, and the
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .medium import NodeStats
+from .medium import collision_probability
 
 # Smoothing constants; settle within roughly one 100-step episode.
 ALPHA_DELAY = 0.2
@@ -89,7 +90,8 @@ class StepMetrics:
 
 
 def step_metrics(
-    window: Sequence[NodeStats],
+    now: Sequence[tuple],
+    start: Sequence[tuple],
     pc1_nodes: Sequence[int],
     prev: StepMetrics,
     window_us: int,
@@ -99,12 +101,12 @@ def step_metrics(
 ) -> StepMetrics:
     """Fold one window's per-node counters into the next StepMetrics.
 
-    window holds each node's counters gained inside the window (counter_diff
-    of its counter tuples at the edges, as NodeStats.since), one per node of
-    prev in node-index order, else ValueError; pc1_nodes are the indices of the
-    PC1 nodes, whose mean access delay is the instantaneous delay. busy_us is
-    the channel occupancy inside the window, from the simulator's occupancy
-    integrator, so frames still in flight at the window edges count.
+    now and start hold each node's counter tuple (medium.counters) at the
+    window's end and start edge, one per node of prev in node-index order, else
+    ValueError; a field is diffed only where a signal reads it. pc1_nodes are
+    the indices of the PC1 nodes, whose mean access delay is the instantaneous
+    delay. busy_us is the channel occupancy inside the window, from the
+    simulator's occupancy integrator, so frames in flight at the edges count.
 
     pc1_pending_age_us is the age of the oldest undelivered PC1 head-of-line
     frame at the window edge. A window without PC1 completions carries the
@@ -116,18 +118,21 @@ def step_metrics(
     """
     if window_us <= 0:
         raise ValueError("window_us must be > 0")
-    if len(window) != len(prev.collision_rate):
-        raise ValueError(f"window has {len(window)} nodes, state {len(prev.collision_rate)}")
+    n = len(prev.collision_rate)
+    if len(now) != n or len(start) != n:
+        raise ValueError(f"window has {len(now)} nodes, state {n}, start edge {len(start)}")
 
     rates, airtimes, airtime_ema = [], [], []
     total_succ = total_coll = 0
-    for s, r, e in zip(window, prev.collision_rate, prev.airtime_ema):
-        total_succ += s.successes
-        total_coll += s.collisions
+    for (succ, coll, air, _, _, _, _), (succ0, coll0, air0, _, _, _, _), r, e in zip(
+            now, start, prev.collision_rate, prev.airtime_ema):
+        succ, coll, air = succ - succ0, coll - coll0, air - air0
+        total_succ += succ
+        total_coll += coll
         # per-node collision rate, carried when a node made no attempts
-        rates.append(s.collision_probability() if s.successes or s.collisions else r)
-        airtimes.append(s.success_air_us)
-        airtime_ema.append(ema_update(e, float(s.success_air_us), ALPHA_DELAY))
+        rates.append(collision_probability(succ, coll) if succ or coll else r)
+        airtimes.append(air)
+        airtime_ema.append(ema_update(e, float(air), ALPHA_DELAY))
     attempts = total_succ + total_coll
     agg = total_coll / attempts if attempts else prev.coll_rate_agg
     fast = ema_update(prev.coll_ema_fast, agg, ALPHA_FAST)
@@ -136,8 +141,10 @@ def step_metrics(
     # exact integer sums, so the quotient is the correctly rounded mean
     pc1_succ = pc1_delay_sum = 0
     for i in pc1_nodes:
-        pc1_succ += window[i].successes
-        pc1_delay_sum += window[i].delay_sum_us
+        succ, _, _, _, _, _, delay = now[i]
+        succ0, _, _, _, _, _, delay0 = start[i]
+        pc1_succ += succ - succ0
+        pc1_delay_sum += delay - delay0
     if pc1_succ:
         delay_inst = pc1_delay_sum / pc1_succ
     elif pc1_pending_age_us > 4 * d_th_us:

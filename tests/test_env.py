@@ -173,12 +173,15 @@ def test_soft_reset_persists_medium_state():
     env = CoexEnv(coex_mix_preset(), action_mode="cw")
     env.reset(seed=6)
     for _ in range(100):
-        env.step(0)
+        last = env.step(0)
+    assert last.info.pc1_delay_smooth_us > 0.0
     clock = env.sim.clock
-    env.reset()  # soft: same simulator, metrics zeroed
+    obs = env.reset()  # soft: same simulator, metrics zeroed
     assert env.sim.clock == clock
     assert env.step_count == 0
-    assert env.current_metrics().pc1_delay_smooth_us == 0.0
+    assert not obs.any()  # the smoothed PC1 delay among the features
+    info = env.step(0).info
+    assert info.pc1_delay_smooth_us == ema_update(0.0, info.pc1_delay_inst_us, ALPHA_DELAY)
 
 
 def test_mcot_mode_changes_frame_lengths():
@@ -381,6 +384,6 @@ def test_steps_build_no_cr_pulse_outcomes(monkeypatch):
     before = env.sim.stats_snapshot()
     for _ in range(env.episode_steps):
         env.step(int(rng.integers(env.n_actions)))
-    window = [now.since(start) for now, start in zip(env.sim.stats_snapshot(), before)]
-    assert sum(s.pulse_us for s in window) > 0
-    assert len(built) <= sum(s.attempts for s in window)
+    after = env.sim.stats_snapshot()
+    assert sum(now.pulse_us - start.pulse_us for now, start in zip(after, before)) > 0
+    assert len(built) <= sum(now.attempts - start.attempts for now, start in zip(after, before))

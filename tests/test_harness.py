@@ -1,5 +1,6 @@
 """Harness: config loading, commands, logs, reports, comparison, traces."""
 
+import csv
 import glob
 import hashlib
 import json
@@ -26,10 +27,11 @@ from coexctl.harness import (
     nearest_rank_percentile,
     read_report,
     read_step_log,
+    write_step_log,
 )
 from coexctl.cli import main
 from coexctl.env import EPISODE_STEPS
-from coexctl.learner import LearnerConfig, blas_threads
+from coexctl.learner import LearnerConfig, StepLog, blas_threads
 
 
 def smoke_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -236,6 +238,25 @@ def test_config_roundtrip(tmp_path):
     cfg = smoke_config(tmp_path)
     again = config_from_dict(config_to_dict(cfg))
     assert config_to_dict(again) == config_to_dict(cfg)
+
+
+def test_step_log_bytes_are_those_of_csv_writer(tmp_path):
+    values = [-0.0, 1e-05, 2.5e-300, 1.7976931348623157e+308, 0.1, float("inf"), 123.0]
+    rows = []
+    for i, big in enumerate((0, 2**62, -(10**30))):
+        kw = {name: values[(i + k) % len(values)] for k, name in enumerate(StepLog.FIELDS)}
+        rows.append(StepLog(**{**kw, "episode": big, "step": 99 - i, "action": -1 + i}))
+    path = tmp_path / "log.csv"
+    write_step_log(str(path), rows)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as f:  # the former writer: csv.writer, repr of floats
+        w = csv.writer(f)
+        w.writerow(StepLog.FIELDS)
+        for r in rows:
+            w.writerow([repr(v) if isinstance(v, float) else str(v) for v in StepLog.row(r)])
+    assert path.read_bytes() == ref.read_bytes()
+    assert b"-0.0," in path.read_bytes() and b",1e-05," in path.read_bytes()
+    assert read_step_log(str(path))[0]["action"] == -1
 
 
 # ----------------------------------------------------------------------

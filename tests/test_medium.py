@@ -21,7 +21,11 @@ from coexctl.medium import (
     on_collision,
     on_success,
     NodeState,
+    NodeStats,
+    counters,
+    _NEVER,
     _PENDING,
+    _TX,
 )
 
 
@@ -743,7 +747,8 @@ def test_each_cr_pulse_outcome_is_half_a_slot_of_its_nodes_pulse_us():
         out = sim.run_for(int(rng.integers(1, 41)))
         counts = np.bincount([o.node for o in out if o.kind == TxKind.CR_PULSE],
                              minlength=len(sim.nodes))
-        gained = [now.since(start).pulse_us for now, start in zip(sim.stats_snapshot(), before)]
+        gained = [now.pulse_us - start.pulse_us
+                  for now, start in zip(sim.stats_snapshot(), before)]
         assert list(counts * half) == gained
         pulses += counts
     assert pulses.sum() > 1000 and np.count_nonzero(pulses) >= 3
@@ -826,10 +831,10 @@ def test_invariants_hold_under_random_mixes_and_assignments(run, cr_lbt, seed):
             if new and (new["cw_min"], new["cw_max"]) != (node.cfg.cw_min, node.cfg.cw_max):
                 settled[node.idx] = False
         sim.apply_mac_params(assignment)
-        before = sim.stats_snapshot()
+        before = [counters(node.stats) for node in sim.nodes]
         out = sim.run_for(2_500)
         for node, start in zip(sim.nodes, before):
-            delta = node.stats.since(start)
+            delta = NodeStats(*(a - b for a, b in zip(counters(node.stats), start)))
             mine = [o for o in out if o.node == node.idx]
             spans = {kind: [o.duration_us for o in mine if o.kind == kind] for kind in TxKind}
             assert delta.successes == len(spans[TxKind.SUCCESS])
@@ -856,3 +861,32 @@ def test_invariants_hold_under_random_mixes_and_assignments(run, cr_lbt, seed):
         if o.kind == TxKind.SUCCESS:
             assert not any(p is not o and p.start_us < o.end_us and o.start_us < p.end_us
                            for p in data)
+
+
+def check_timer_and_on_air(sim):
+    # the sweeps arm the access timer at the earliest running countdown, and
+    # the on-air list holds exactly the nodes with a data frame in flight
+    assert sim._access_at == min(
+        (node.pending_at for node in sim.nodes if node.state == _PENDING), default=_NEVER)
+    assert sorted(node.idx for node in sim._on_air) == [
+        node.idx for node in sim.nodes if node.state == _TX]
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=random_runs(), cr_lbt=st.booleans(), seed=st.integers(0, 2**16))
+def test_timer_and_on_air_list_hold_after_every_sweep(run, cr_lbt, seed):
+    contenders, windows = run
+    sim = Simulator(contenders, cr_lbt_enabled=cr_lbt, seed=seed)
+    check_timer_and_on_air(sim)
+
+    def checked(method):
+        def call(*args):
+            method(*args)
+            check_timer_and_on_air(sim)
+        return call
+
+    for name in ("_on_idle", "_freeze_pending", "_ev_access"):
+        setattr(sim, name, checked(getattr(sim, name)))
+    for assignment in windows:
+        sim.apply_mac_params(assignment)
+        sim.run_for(2_500)

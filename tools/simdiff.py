@@ -12,9 +12,11 @@ environment's cw mode. Both simulators are built with the working tree's
 arguments, so an older revision's extra parameters keep their defaults, and
 one whose `Simulator` still takes a channel-timings object first gets that
 object's defaults. After every window it compares the outcomes, `clock`,
-`occupied_us_at()`, every node's `NodeStats` and its backoff state. It prints
-the first mismatch and exits 1. A refactor that must not change the
-simulator's results reports 0 mismatches.
+`occupied_us_at()`, every node's `NodeStats`, its backoff state, its life-cycle
+`state`, `pending_at` and `anchor`, and the access timer `_access_at`, so a stale
+timer shows before it changes an outcome. It prints the first mismatch and
+exits 1. A refactor that must not change the simulator's results reports 0
+mismatches.
 """
 
 from __future__ import annotations
@@ -87,9 +89,10 @@ def state(mod, sim, assignment: dict, duration: int):
                           for (tech, pclass), params in assignment.items()})
     out = [(o.node, o.kind.value, o.start_us, o.end_us, o.access_delay_us)
            for o in sim.run_for(duration)]
-    nodes = [(astuple(n.stats), n.backoff, n.cw_current, n.hol_since_us) for n in sim.nodes]
+    nodes = [(astuple(n.stats), n.backoff, n.cw_current, n.hol_since_us, n.state, n.pending_at,
+              n.anchor) for n in sim.nodes]
     return {"outcomes": out, "clock": sim.clock, "occupied": sim.occupied_us_at(),
-            "nodes": nodes}
+            "nodes": nodes, "access_at": sim._access_at}
 
 
 def main(ref: str, n: int) -> int:
