@@ -1,11 +1,11 @@
 """Constrained-MDP wrapper around the channel simulator.
 
 One control step applies the decoded MAC parameters, advances the medium by
-2.5 ms, and returns the observation plus the objective pair
-(f0, f1) = (JFI of the window, smoothed PC1 access delay). Episodes are 100
-steps; by default the medium state persists across episodes to mimic a
-continuing ergodic process, and a hard reset (fresh simulator) happens only
-when an explicit seed is supplied.
+2.5 ms, and returns the window's StepMetrics: f0 is its jfi, f1 its
+pc1_delay_smooth_us. observe(lam, lambda_max) builds the augmented state from
+the caller's dual variable. Episodes are 100 steps; by default the medium
+state persists across episodes to mimic a continuing ergodic process, and a
+hard reset (fresh simulator) happens only when an explicit seed is supplied.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics as met
-from .constraint import DualController, augment_state
+from .constraint import augment_state
 from .medium import (
     ConfigError,
     ContenderConfig,
@@ -88,15 +88,6 @@ def decode_action(index: int, space: ActionSpace) -> dict[PClass, dict]:
     return {PClass.PC1: {"mcot_us": v1}, PClass.PC3: {"mcot_us": v3}}
 
 
-@dataclass
-class StepResult:
-    observation: np.ndarray
-    f0: float
-    f1: float
-    done: bool
-    info: met.StepMetrics
-
-
 def coex_mix_preset(gnb_pc1: int = 1, gnb_pc3: int = 1, ap_pc3: int = 1) -> list[ContenderConfig]:
     """Saturated gNB PC1 / gNB PC3 / AP PC3 mix with default MAC parameters."""
     contenders = []
@@ -144,9 +135,6 @@ class CoexEnv:
         self.sim: Optional[Simulator] = None
         # the action index last applied to self.sim; None on a fresh simulator
         self._applied: Optional[int] = None
-        self.lam = 0.0
-        # the observation's lambda normaliser; a rollout sets it from its dual
-        self.lambda_max = DualController.lambda_max
         self._step_count = 0
         self._metrics: Optional[met.StepMetrics] = None
         # PC1 node indices, live NodeStats; counter tuples, occupancy at the last window edge
@@ -170,11 +158,7 @@ class CoexEnv:
     def n_actions(self) -> int:
         return self.space.cardinality
 
-    @property
-    def step_count(self) -> int:
-        return self._step_count
-
-    def reset(self, seed: Optional[int] = None, lambda0: float = 0.0) -> np.ndarray:
+    def reset(self, seed: Optional[int] = None) -> None:
         """Start an episode; a seed forces a fresh simulator (on the contenders'
         default MAC parameters), otherwise the medium persists and only
         metrics and the step counter restart."""
@@ -189,12 +173,11 @@ class CoexEnv:
         self._live = [n.stats for n in self.sim.nodes]
         self._prev_counts = list(map(counters, self._live))
         self._prev_occupied = self.sim.occupied_us_at()
-        self.lam = lambda0
-        return self._observe()
 
-    def _observe(self) -> np.ndarray:
+    def observe(self, lam: float, lambda_max: float) -> np.ndarray:
+        """The policy input: the latest window's features, then lam / lambda_max."""
         base = met.build_observation(self._metrics, self.d_th_us)
-        return augment_state(base, self.lam, self.lambda_max)
+        return augment_state(base, lam, lambda_max)
 
     def _apply_action(self, index: int) -> None:
         # applying an assignment twice changes nothing, so a repeat is skipped
@@ -206,9 +189,9 @@ class CoexEnv:
                                    for pclass, params in per_class.items()})
         self._applied = index
 
-    def step(self, action: Optional[int]) -> StepResult:
-        """One control step; action None leaves the current MAC parameters
-        untouched (the fixed-parameter baseline)."""
+    def step(self, action: Optional[int]) -> met.StepMetrics:
+        """One control step, returning the window's StepMetrics; action None
+        keeps the current MAC parameters (the fixed-parameter baseline)."""
         if self.sim is None or self._metrics is None:
             raise RuntimeError("reset() must be called before step()")
         if self._step_count >= EPISODE_STEPS:
@@ -236,11 +219,4 @@ class CoexEnv:
         )
         self._prev_counts = counts
         self._step_count += 1
-        done = self._step_count >= EPISODE_STEPS
-        return StepResult(
-            observation=self._observe(),
-            f0=self._metrics.jfi,
-            f1=self._metrics.pc1_delay_smooth_us,
-            done=done,
-            info=self._metrics,
-        )
+        return self._metrics

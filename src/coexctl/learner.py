@@ -21,6 +21,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
+# augment_state is unused here; perfbench/tracing.py wraps learner.augment_state by name
 from .constraint import DualController, augment_state, constraint_signals, sample_lambda
 from .env import CoexEnv
 from .medium import NodeStats
@@ -554,52 +555,50 @@ def _rollout(
 ) -> list[StepLog]:
     """The per-step control loop of training, evaluation and the baseline.
 
-    With a learner, each episode restarts the dual from a sampled lambda0 and
-    each step stores its transition and takes one gradient step; otherwise
-    lambda carries over between episodes. act(obs, epsilon) returns the
-    action, or None to keep the MAC parameters. Without a dual, lambda stays
-    0. Returns the step log.
+    After each reset and each dual feed the loop builds the policy input once,
+    env.observe(lambda, lambda_max). With a learner, each episode restarts the
+    dual from a sampled lambda0 and each step stores its transition and takes
+    one gradient step; otherwise lambda carries over between episodes.
+    act(obs, epsilon) returns the action, or None to keep the MAC parameters.
+    Without a dual, lambda stays 0. Returns the step log.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     total_steps = episodes * env.episode_steps
-    if dual is not None:
-        env.lambda_max = dual.lambda_max
     # without a dual the pipeline is still logged, at the default kappa
     kappa = dual.kappa if dual is not None else DualController.kappa
+    lambda_max = dual.lambda_max if dual is not None else DualController.lambda_max
     log: list[StepLog] = []
     for episode in range(episodes):
         if learner is not None:
             dual.reset(sample_lambda(learner.rng, dual.lambda_max))
         # a seeded reset builds a fresh medium; otherwise the medium persists
-        reset_seed = seed + episode if episode == 0 or hard_episode_resets else None
-        obs = env.reset(seed=reset_seed, lambda0=dual.lam if dual is not None else 0.0)
+        env.reset(seed=seed + episode if episode == 0 or hard_episode_resets else None)
+        obs = env.observe(dual.lam if dual is not None else 0.0, lambda_max)
         for step in range(env.episode_steps):
             eps = epsilon_at(len(log), total_steps) if learner is not None else 0.0
             action = act(obs, eps)
-            res = env.step(action)
+            info = env.step(action)
             lam = dual.lam if dual is not None else 0.0
             # scaled arm: smoothed delay; raw arm: the unsmoothed instantaneous
             # delay, unbounded in both directions
-            delay_signal = res.f1 if scaling else res.info.pc1_delay_inst_us
+            delay_signal = info.pc1_delay_smooth_us if scaling else info.pc1_delay_inst_us
             v, v_dual, cost = constraint_signals(delay_signal, env.d_th_us, kappa, scaling)
-            reward = assemble_reward(res.f0, lam, cost)
-            next_obs = res.observation
+            reward = assemble_reward(info.jfi, lam, cost)
             if dual is not None:
                 dual.feed(v_dual, step, smooth=scaling)
-                env.lam = dual.lam
-                if not res.done:
-                    next_obs = augment_state(res.observation[:-1], dual.lam, dual.lambda_max)
+            next_obs = env.observe(dual.lam if dual is not None else 0.0, lambda_max)
             loss = None
             if learner is not None:
-                learner.buffer.push(obs, action, reward, next_obs, res.done)
+                learner.buffer.push(obs, action, reward, next_obs,
+                                    step == env.episode_steps - 1)
                 loss = learner.train_step()
             entry = StepLog(
                 episode=episode, step=step, lam=lam, v=v, v_scaled=v_dual,
-                v_ema=dual.v_ema if dual is not None else 0.0, cost=cost, jfi=res.f0,
-                delay_inst_us=res.info.pc1_delay_inst_us, delay_smooth_us=res.f1,
-                collision_rate=res.info.coll_rate_agg, airtime_util=res.info.airtime_util,
-                violation_rate=res.info.violation_rate, reward=reward, epsilon=eps,
+                v_ema=dual.v_ema if dual is not None else 0.0, cost=cost, jfi=info.jfi,
+                delay_inst_us=info.pc1_delay_inst_us, delay_smooth_us=info.pc1_delay_smooth_us,
+                collision_rate=info.coll_rate_agg, airtime_util=info.airtime_util,
+                violation_rate=info.violation_rate, reward=reward, epsilon=eps,
                 action=action if action is not None else -1,
                 loss=loss if loss is not None else 0.0,
             )
@@ -624,9 +623,10 @@ def run_training(
     """Train a fresh learner over the constrained environment.
 
     Each step acts epsilon-greedily on the augmented state, assembles the
-    reward, stores the transition and takes one gradient step; the dual keeps
-    updating every dual.update_period steps so training matches execution
-    dynamics. log_hook sees each step's log entry after its gradient step.
+    reward, stores the transition (its next state carries lambda after the
+    step's dual feed) and takes one gradient step; the dual keeps updating
+    every dual.update_period steps so training matches execution dynamics.
+    log_hook sees each step's log entry after its gradient step.
     The BLAS thread count is set for the train shape (blas_threads_for).
     """
     learner = QLearner(env.observation_dim, env.n_actions, config, seed=seed)
@@ -657,9 +657,11 @@ def greedy_rollout(
 ) -> EvalRollout:
     """Greedy execution (epsilon = 0) with online dual updates and no learning.
 
-    With q_net None the environment keeps the preset's default MAC parameters
-    (the fixed-parameter baseline); with dual None lambda stays 0. A q_net
-    sets the BLAS thread count for its shape at batch 1 (blas_threads_for).
+    The policy reads the state augmented with the dual's current lambda over
+    its lambda_max. With q_net None the environment keeps the preset's default
+    MAC parameters (the fixed-parameter baseline); with dual None lambda stays
+    0. A q_net sets the BLAS thread count for its shape at batch 1
+    (blas_threads_for).
     """
     def act(obs: np.ndarray, eps: float) -> Optional[int]:
         return None if q_net is None else int(np.argmax(q_net.forward(obs)[0]))

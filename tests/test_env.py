@@ -15,8 +15,12 @@ from coexctl.env import (
     coex_mix_preset,
 )
 from coexctl import medium
+from coexctl.constraint import DualController
 from coexctl.medium import CR_SLOT_US, PClass, Simulator, Tech, TxKind
-from coexctl.metrics import ALPHA_DELAY, ema_update, jain_index
+from coexctl.metrics import ALPHA_DELAY, StepMetrics, ema_update, jain_index
+
+# the observation's lambda normaliser when no dual sets one
+LAMBDA_MAX = DualController.lambda_max
 
 
 # ----------------------------------------------------------------------
@@ -94,13 +98,18 @@ def test_reset_determinism_and_augmentation():
     obs = []
     for _ in range(2):
         env = CoexEnv(coex_mix_preset(), action_mode="cw")
-        obs.append(env.reset(seed=3, lambda0=0.0))
+        assert env.reset(seed=3) is None
+        obs.append(env.observe(0.0, 5.0))
     assert np.array_equal(obs[0], obs[1])
-    assert obs[0][-1] == 0.0  # lambda0 = 0 -> augmentation slot 0
-    env = CoexEnv(coex_mix_preset(), action_mode="cw")
-    o = env.reset(seed=3, lambda0=2.5)
+    assert obs[0][-1] == 0.0  # lambda = 0 -> augmentation slot 0
+    clock = env.sim.clock
+    o = env.observe(2.5, 5.0)
     assert o[-1] == 0.5
-    assert env.step_count == 0
+    assert np.array_equal(o[:-1], obs[0][:-1])
+    assert env.sim.clock == clock  # observing advances nothing
+    for lam in (-0.5, 5.5):
+        with pytest.raises(ValueError, match="outside"):
+            env.observe(lam, 5.0)
 
 
 def test_first_reset_requires_seed():
@@ -111,12 +120,12 @@ def test_first_reset_requires_seed():
 
 def test_observation_dim_contract():
     env = CoexEnv(coex_mix_preset(), action_mode="cw")
-    o = env.reset(seed=1)
-    assert o.shape == (env.observation_dim,)
+    env.reset(seed=1)
+    assert env.observe(0.0, LAMBDA_MAX).shape == (env.observation_dim,)
     assert env.observation_dim == 3 + 5 + 1
     for _ in range(5):
-        r = env.step(10)
-        assert r.observation.shape == (env.observation_dim,)
+        env.step(10)
+        assert env.observe(0.0, LAMBDA_MAX).shape == (env.observation_dim,)
 
 
 # ----------------------------------------------------------------------
@@ -126,10 +135,10 @@ def test_observation_dim_contract():
 def test_episode_is_100_steps_and_then_errors():
     env = CoexEnv(coex_mix_preset(), action_mode="cw")
     env.reset(seed=2)
-    for k in range(100):
-        r = env.step(20)
-        assert r.done == (k == 99)
-    with pytest.raises(RuntimeError):
+    assert env.episode_steps == 100
+    for _ in range(100):
+        assert isinstance(env.step(20), StepMetrics)
+    with pytest.raises(RuntimeError, match="episode is done"):
         env.step(20)
 
 
@@ -138,7 +147,7 @@ def test_fixed_action_sequence_reproducible():
     for _ in range(2):
         env = CoexEnv(coex_mix_preset(), action_mode="cw")
         env.reset(seed=5)
-        seqs.append([(r.f0, r.f1) for r in (env.step(13) for _ in range(100))])
+        seqs.append([(r.jfi, r.pc1_delay_smooth_us) for r in (env.step(13) for _ in range(100))])
     assert seqs[0] == seqs[1]
 
 
@@ -146,14 +155,13 @@ def test_single_contender_jfi_is_one():
     env = CoexEnv(single_pc1_preset(), action_mode="cw")
     env.reset(seed=1)
     for _ in range(100):
-        r = env.step(0)
-        assert r.f0 == 1.0
+        assert env.step(0).jfi == 1.0
 
 
 def test_episode_average_f0_within_bounds():
     env = CoexEnv(coex_mix_preset(), action_mode="cw")
     env.reset(seed=8)
-    f0s = [env.step(24).f0 for _ in range(100)]
+    f0s = [env.step(24).jfi for _ in range(100)]
     n = env.n_nodes
     assert 1.0 / n <= float(np.mean(f0s)) <= 1.0
 
@@ -174,14 +182,17 @@ def test_soft_reset_persists_medium_state():
     env.reset(seed=6)
     for _ in range(100):
         last = env.step(0)
-    assert last.info.pc1_delay_smooth_us > 0.0
+    assert last.pc1_delay_smooth_us > 0.0
     clock = env.sim.clock
-    obs = env.reset()  # soft: same simulator, metrics zeroed
+    env.reset()  # soft: same simulator, metrics and step counter zeroed
     assert env.sim.clock == clock
-    assert env.step_count == 0
-    assert not obs.any()  # the smoothed PC1 delay among the features
-    info = env.step(0).info
+    assert not env.observe(0.0, LAMBDA_MAX).any()  # the smoothed PC1 delay among the features
+    info = env.step(0)
     assert info.pc1_delay_smooth_us == ema_update(0.0, info.pc1_delay_inst_us, ALPHA_DELAY)
+    for _ in range(99):  # a whole episode again
+        env.step(0)
+    with pytest.raises(RuntimeError, match="episode is done"):
+        env.step(0)
 
 
 def test_mcot_mode_changes_frame_lengths():
@@ -245,19 +256,22 @@ def test_skipping_repeated_actions_leaves_results_unchanged(mode):
         ref.sim.apply_mac_params({(Tech.NRU, pclass): params
                                   for pclass, params in decode_action(int(a), ref.space).items()})
         r, want = env.step(int(a)), ref.step(None)
-        assert (r.f0, r.f1) == (want.f0, want.f1)
-        assert np.array_equal(r.observation, want.observation)
+        assert r == want
+        assert np.array_equal(env.observe(0.0, LAMBDA_MAX), ref.observe(0.0, LAMBDA_MAX))
 
 
 @pytest.mark.parametrize("mode", ["cw", "aifsn", "mcot"])
 def test_observations_are_finite_and_clipped_under_random_actions(mode):
     env = CoexEnv(coex_mix_preset(), action_mode=mode)
     rng = np.random.default_rng(14)
-    obs = [env.reset(seed=14)]
+    env.reset(seed=14)
+    obs = [env.observe(0.0, LAMBDA_MAX)]
     for _ in range(3):
         for _ in range(env.episode_steps):
-            obs.append(env.step(int(rng.integers(env.n_actions))).observation)
-        obs.append(env.reset())
+            env.step(int(rng.integers(env.n_actions)))
+            obs.append(env.observe(0.0, LAMBDA_MAX))
+        env.reset()
+        obs.append(env.observe(0.0, LAMBDA_MAX))
     obs = np.array(obs[:301])
     assert np.isfinite(obs).all()
     assert (np.abs(obs) <= 5.0).all()
@@ -308,7 +322,7 @@ def test_step_signals_equal_a_recount_of_the_outcome_stream(monkeypatch, mode):
             env.reset()  # soft reset: the medium persists, the signals restart
         ref = {"rates": [0.0] * env.n_nodes, "ema": [0.0] * env.n_nodes, "delay": 0.0}
         for _ in range(env.episode_steps):
-            info = env.step(int(rng.integers(env.n_actions))).info
+            info = env.step(int(rng.integers(env.n_actions)))
             ref = tally_step(windows[-1], ref, env)
             assert info.collision_rate == ref["rates"]
             assert info.jfi == ref["jfi"]
@@ -319,14 +333,16 @@ def test_step_signals_equal_a_recount_of_the_outcome_stream(monkeypatch, mode):
 
 def signal_stream_digest(mode):
     """SHA-256 over 100 random-action steps of the dense CR mix: each step's
-    observation bytes, then every float of its StepMetrics in field order."""
+    observation bytes (at lambda 0), then every float of its StepMetrics in
+    field order."""
     env = CoexEnv(coex_mix_preset(2, 3, 3), action_mode=mode, cr_lbt=True)
     rng = np.random.default_rng(16)
-    h = hashlib.sha256(env.reset(seed=16).tobytes())
+    env.reset(seed=16)
+    h = hashlib.sha256(env.observe(0.0, LAMBDA_MAX).tobytes())
     for _ in range(100):
         res = env.step(int(rng.integers(env.n_actions)))
-        h.update(res.observation.tobytes())
-        values = [v for f in astuple(res.info) for v in (f if isinstance(f, list) else [f])]
+        h.update(env.observe(0.0, LAMBDA_MAX).tobytes())
+        values = [v for f in astuple(res) for v in (f if isinstance(f, list) else [f])]
         h.update(struct.pack(f"<{len(values)}d", *values))
     return h.hexdigest()
 

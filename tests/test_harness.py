@@ -76,7 +76,8 @@ def test_bundled_config_loads_and_builds(path):
     env = cfg.build_env()
     dual = cfg.dual.controller()
     assert dual.lambda_max == cfg.dual.lambda_max
-    assert env.reset(seed=cfg.seed).shape == (env.observation_dim,)
+    env.reset(seed=cfg.seed)
+    assert env.observe(dual.lam, dual.lambda_max).shape == (env.observation_dim,)
 
 
 def test_unknown_key_rejected_by_name(tmp_path):

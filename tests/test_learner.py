@@ -476,24 +476,55 @@ def test_training_with_lambda_max_zero_is_unconstrained():
     assert all(row.reward == row.jfi for row in res.log)
 
 
-def test_greedy_rollout_normalises_lambda_by_the_duals_lambda_max():
+@pytest.mark.parametrize("entry", ["greedy_rollout", "run_training"])
+def test_greedy_rollout_normalises_lambda_by_the_duals_lambda_max(monkeypatch, entry):
+    # each policy input is built once, from the dual's lambda at the policy call:
+    # one augment_state call after each reset and one after each step
+    from coexctl import env as env_mod
     from coexctl.constraint import DualController
-    from coexctl.env import CoexEnv, coex_mix_preset
-    from coexctl.learner import greedy_rollout
+    from coexctl.env import EPISODE_STEPS, CoexEnv, coex_mix_preset
+    from coexctl.learner import greedy_rollout, run_training
 
     env = CoexEnv(coex_mix_preset(), action_mode="cw")
-    net = MLP([env.observation_dim, 16, env.n_actions], np.random.default_rng(0))
     dual = DualController(lambda_max=8.0, eta_lambda=0.5)
-    seen = []  # (last observation feature, lambda) at each policy call
-    forward = net.forward
+    episodes = 2
+    augmented = []
+    augment = env_mod.augment_state
 
-    def spy(x):
+    def counting(obs, lam, lambda_max):
+        augmented.append(lam)
+        return augment(obs, lam, lambda_max)
+
+    # through both module names, so an augmentation in the loop itself counts too
+    monkeypatch.setattr(env_mod, "augment_state", counting)
+    monkeypatch.setattr(learner_mod, "augment_state", counting)
+    seen = []  # (last feature of the policy input, lambda) at each policy call
+
+    def record(x):
         seen.append((float(np.asarray(x).reshape(-1)[-1]), dual.lam))
-        return forward(x)
 
-    net.forward = spy
-    rollout = greedy_rollout(env, net, dual, episodes=5, seed=0)
-    assert len(rollout.log) == len(seen) == 5 * env.episode_steps
+    if entry == "greedy_rollout":
+        net = MLP([env.observation_dim, 16, env.n_actions], np.random.default_rng(0))
+        forward = net.forward
+
+        def spy(x):
+            record(x)
+            return forward(x)
+
+        net.forward = spy
+        log = greedy_rollout(env, net, dual, episodes=episodes, seed=0).log
+    else:
+        act = QLearner.act
+
+        def spy(self, obs, epsilon):
+            record(obs)
+            return act(self, obs, epsilon)
+
+        monkeypatch.setattr(QLearner, "act", spy)
+        log = run_training(env, dual, tiny_config(hidden_layers=(16,), batch_size=16),
+                           seed=0, episodes=episodes).log
+    assert len(augmented) == episodes * (EPISODE_STEPS + 1)
+    assert len(log) == len(seen) == episodes * EPISODE_STEPS
     assert max(lam for _, lam in seen) == 8.0
     assert all(feat == lam / 8.0 for feat, lam in seen)
 
