@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .env import ACTION_GRIDS
 from .harness import (
     ConfigFileError,
     ExperimentConfig,
@@ -20,7 +21,7 @@ from .harness import (
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--action-mode", choices=["cw", "aifsn", "mcot"], help="controlled parameter")
+    p.add_argument("--action-mode", choices=list(ACTION_GRIDS), help="controlled parameter")
     p.add_argument("--cr-lbt", choices=["on", "off"], help="collision-resolution LBT")
     p.add_argument("--scaling", choices=["on", "off"], help="violation scaling pipeline")
     p.add_argument("--out", help="output directory")

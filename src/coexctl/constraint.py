@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import ema_update
+
 
 def relative_violation(delay_smooth_us: float, d_th_us: float) -> float:
     """Signed relative slack: positive when the delay constraint is satisfied."""
@@ -86,7 +88,7 @@ class DualController:
 
     def observe(self, v_scaled: float) -> float:
         """Fold one step's scaled violation into the EMA; returns the new EMA."""
-        self.v_ema = self.alpha_v * v_scaled + (1.0 - self.alpha_v) * self.v_ema
+        self.v_ema = ema_update(self.v_ema, v_scaled, self.alpha_v)
         return self.v_ema
 
     def feed(self, v_scaled: float, step: int, smooth: bool = True) -> None:

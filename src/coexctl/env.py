@@ -1,7 +1,7 @@
 """Constrained-MDP wrapper around the channel simulator.
 
-One control step applies the decoded MAC parameters, advances the medium by
-2.5 ms, and returns the window's StepMetrics: f0 is its jfi, f1 its
+One control step applies the action's row of the action table, advances the
+medium by 2.5 ms, and returns the window's StepMetrics: f0 is its jfi, f1 its
 pc1_delay_smooth_us. observe(lam, lambda_max) builds the augmented state from
 the caller's dual variable. Episodes are 100 steps; by default the medium
 state persists across episodes to mimic a continuing ergodic process, and a
@@ -10,7 +10,6 @@ hard reset (fresh simulator) happens only when an explicit seed is supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,55 +36,33 @@ CW_B_PC3 = 4
 CW_MIN_PC1 = 2**CW_B_PC1 - 1
 CW_MIN_PC3 = 2**CW_B_PC3 - 1
 
-AIFSN_PC1_OPTIONS = (1, 2, 3)
-AIFSN_PC3_OPTIONS = (1, 2, 3, 4, 5, 6, 7)
-MCOT_OPTIONS_US = tuple(range(1000, 4001, 500))
+# Each mode's (PC1 options, PC3 options): the cw exponent a_i, the AIFSN or
+# the MCOT in microseconds.
+ACTION_GRIDS = {
+    "cw": (tuple(range(7)), tuple(range(7))),
+    "aifsn": ((1, 2, 3), (1, 2, 3, 4, 5, 6, 7)),
+    "mcot": (tuple(range(1000, 4001, 500)), tuple(range(1000, 4001, 500))),
+}
 
 
-@dataclass(frozen=True)
-class ActionSpace:
-    """Discrete per-class option grid; index is row-major with PC1 slowest."""
+def _class_params(mode: str, pclass: PClass, value: int) -> dict:
+    """One class's MAC parameters for one option of the mode's grid."""
+    if mode == "cw":
+        cw_min, b = (CW_MIN_PC1, CW_B_PC1) if pclass == PClass.PC1 else (CW_MIN_PC3, CW_B_PC3)
+        return {"cw_min": cw_min, "cw_max": 2 ** (value + b) - 1}
+    return {"aifsn": value} if mode == "aifsn" else {"mcot_us": value}
 
-    mode: str
-    pc1_options: tuple
-    pc3_options: tuple
 
-    @classmethod
-    def for_mode(cls, mode: str) -> "ActionSpace":
-        mode = mode.lower()
-        if mode == "cw":
-            return cls("cw", tuple(range(7)), tuple(range(7)))
-        if mode == "aifsn":
-            return cls("aifsn", AIFSN_PC1_OPTIONS, AIFSN_PC3_OPTIONS)
-        if mode == "mcot":
-            return cls("mcot", MCOT_OPTIONS_US, MCOT_OPTIONS_US)
+def action_table(mode: str) -> list[dict]:
+    """Each action's Simulator.apply_mac_params assignment, by index: row-major
+    over ACTION_GRIDS[mode], the PC1 option varying slowest. Only the gNB
+    (NR-U) classes are set; Wi-Fi keeps its preset parameters."""
+    if mode not in ACTION_GRIDS:
         raise ValueError(f"unknown action mode: {mode!r}")
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.pc1_options) * len(self.pc3_options)
-
-    def encode(self, i1: int, i3: int) -> int:
-        return i1 * len(self.pc3_options) + i3
-
-    def split(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < self.cardinality:
-            raise ValueError(f"action index {index} out of range [0, {self.cardinality})")
-        return divmod(index, len(self.pc3_options))
-
-
-def decode_action(index: int, space: ActionSpace) -> dict[PClass, dict]:
-    """Map a flat action index to per-class MAC parameter updates."""
-    i1, i3 = space.split(index)
-    v1, v3 = space.pc1_options[i1], space.pc3_options[i3]
-    if space.mode == "cw":
-        return {
-            PClass.PC1: {"cw_min": CW_MIN_PC1, "cw_max": 2 ** (v1 + CW_B_PC1) - 1},
-            PClass.PC3: {"cw_min": CW_MIN_PC3, "cw_max": 2 ** (v3 + CW_B_PC3) - 1},
-        }
-    if space.mode == "aifsn":
-        return {PClass.PC1: {"aifsn": v1}, PClass.PC3: {"aifsn": v3}}
-    return {PClass.PC1: {"mcot_us": v1}, PClass.PC3: {"mcot_us": v3}}
+    pc1, pc3 = ACTION_GRIDS[mode]
+    return [{(Tech.NRU, PClass.PC1): _class_params(mode, PClass.PC1, v1),
+             (Tech.NRU, PClass.PC3): _class_params(mode, PClass.PC3, v3)}
+            for v1 in pc1 for v3 in pc3]
 
 
 def coex_mix_preset(gnb_pc1: int = 1, gnb_pc3: int = 1, ap_pc3: int = 1) -> list[ContenderConfig]:
@@ -129,7 +106,8 @@ class CoexEnv:
         d_th_us: float = D_TH_US,
     ):
         self.contenders = contenders
-        self.space = ActionSpace.for_mode(action_mode)
+        # each action index's assignment of MAC parameters
+        self.actions = action_table(action_mode)
         self.cr_lbt = cr_lbt
         self.d_th_us = d_th_us
         self.sim: Optional[Simulator] = None
@@ -156,7 +134,7 @@ class CoexEnv:
 
     @property
     def n_actions(self) -> int:
-        return self.space.cardinality
+        return len(self.actions)
 
     def reset(self, seed: Optional[int] = None) -> None:
         """Start an episode; a seed forces a fresh simulator (on the contenders'
@@ -183,10 +161,10 @@ class CoexEnv:
         # applying an assignment twice changes nothing, so a repeat is skipped
         if index == self._applied:
             return
-        # only the gNB (NR-U) classes are actuated; Wi-Fi keeps its preset parameters
-        per_class = decode_action(index, self.space)
-        self.sim.apply_mac_params({(Tech.NRU, pclass): params
-                                   for pclass, params in per_class.items()})
+        # refused explicitly, since a list would read -1 as its last row
+        if not 0 <= index < len(self.actions):
+            raise ValueError(f"action index {index} out of range [0, {len(self.actions)})")
+        self.sim.apply_mac_params(self.actions[index])
         self._applied = index
 
     def step(self, action: Optional[int]) -> met.StepMetrics:

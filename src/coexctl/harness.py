@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .constraint import DualController
-from .env import D_TH_US, CoexEnv, coex_mix_preset, single_pc1_preset
+from .env import ACTION_GRIDS, D_TH_US, CoexEnv, coex_mix_preset
 from .learner import (
     EvalRollout,
     LearnerConfig,
@@ -58,7 +58,7 @@ class DualConfig:
 class ExperimentConfig:
     """Fully validated experiment description (full-scale training values as defaults)."""
 
-    scenario: str = "coex_mix"
+    scenario: str = "coex_mix"  # the one preset; policy artifacts record it
     action_mode: str = "cw"
     cr_lbt: bool = False
     scaling: bool = True
@@ -73,10 +73,11 @@ class ExperimentConfig:
     hard_episode_resets: bool = False
 
     def validate(self) -> None:
-        if self.scenario not in ("coex_mix", "single_pc1"):
+        if self.scenario != "coex_mix":
             raise ConfigFileError(f"unknown scenario preset: {self.scenario!r}")
-        if self.action_mode not in ("cw", "aifsn", "mcot"):
-            raise ConfigFileError(f"action_mode must be cw/aifsn/mcot, got {self.action_mode!r}")
+        if self.action_mode not in ACTION_GRIDS:
+            raise ConfigFileError(f"action_mode must be {'/'.join(ACTION_GRIDS)},"
+                                  f" got {self.action_mode!r}")
         if self.episodes < 1:
             raise ConfigFileError(f"episodes must be >= 1, got {self.episodes}")
         if self.eval_episodes < 1:
@@ -88,7 +89,7 @@ class ExperimentConfig:
         unknown = set(self.counts) - set(COUNT_KEYS)
         if unknown:
             raise ConfigFileError(f"unknown scenario count keys: {sorted(unknown)}")
-        if self.scenario == "coex_mix" and not any(self.node_counts().values()):
+        if not any(self.node_counts().values()):
             raise ConfigFileError("counts: a coex_mix needs at least one node, all three are 0")
         for section, check in (("learner", self.learner.validate),
                                ("dual", self.dual.controller)):
@@ -108,16 +109,8 @@ class ExperimentConfig:
                 for key in ARTIFACT_CONFIG_KEYS}
 
     def build_env(self) -> CoexEnv:
-        if self.scenario == "coex_mix":
-            preset = coex_mix_preset(**self.node_counts())
-        else:
-            preset = single_pc1_preset()
-        return CoexEnv(
-            preset,
-            action_mode=self.action_mode,
-            cr_lbt=self.cr_lbt,
-            d_th_us=self.d_th_us,
-        )
+        return CoexEnv(coex_mix_preset(**self.node_counts()), action_mode=self.action_mode,
+                       cr_lbt=self.cr_lbt, d_th_us=self.d_th_us)
 
 
 class ConfigFileError(ValueError):

@@ -560,34 +560,36 @@ def _rollout(
     dual from a sampled lambda0 and each step stores its transition and takes
     one gradient step; otherwise lambda carries over between episodes.
     act(obs, epsilon) returns the action, or None to keep the MAC parameters.
-    Without a dual, lambda stays 0. Returns the step log.
+    Without a dual, a default DualController that is never fed logs the
+    pipeline at its kappa, with lambda and v_ema at 0. Returns the step log.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     total_steps = episodes * env.episode_steps
-    # without a dual the pipeline is still logged, at the default kappa
-    kappa = dual.kappa if dual is not None else DualController.kappa
-    lambda_max = dual.lambda_max if dual is not None else DualController.lambda_max
+    fed = dual is not None
+    if not fed:
+        dual = DualController()
+    kappa, lambda_max = dual.kappa, dual.lambda_max
     log: list[StepLog] = []
     for episode in range(episodes):
         if learner is not None:
-            dual.reset(sample_lambda(learner.rng, dual.lambda_max))
+            dual.reset(sample_lambda(learner.rng, lambda_max))
         # a seeded reset builds a fresh medium; otherwise the medium persists
         env.reset(seed=seed + episode if episode == 0 or hard_episode_resets else None)
-        obs = env.observe(dual.lam if dual is not None else 0.0, lambda_max)
+        obs = env.observe(dual.lam, lambda_max)
         for step in range(env.episode_steps):
             eps = epsilon_at(len(log), total_steps) if learner is not None else 0.0
             action = act(obs, eps)
             info = env.step(action)
-            lam = dual.lam if dual is not None else 0.0
+            lam = dual.lam
             # scaled arm: smoothed delay; raw arm: the unsmoothed instantaneous
             # delay, unbounded in both directions
             delay_signal = info.pc1_delay_smooth_us if scaling else info.pc1_delay_inst_us
             v, v_dual, cost = constraint_signals(delay_signal, env.d_th_us, kappa, scaling)
             reward = assemble_reward(info.jfi, lam, cost)
-            if dual is not None:
+            if fed:
                 dual.feed(v_dual, step, smooth=scaling)
-            next_obs = env.observe(dual.lam if dual is not None else 0.0, lambda_max)
+            next_obs = env.observe(dual.lam, lambda_max)
             loss = None
             if learner is not None:
                 learner.buffer.push(obs, action, reward, next_obs,
@@ -595,7 +597,7 @@ def _rollout(
                 loss = learner.train_step()
             entry = StepLog(
                 episode=episode, step=step, lam=lam, v=v, v_scaled=v_dual,
-                v_ema=dual.v_ema if dual is not None else 0.0, cost=cost, jfi=info.jfi,
+                v_ema=dual.v_ema, cost=cost, jfi=info.jfi,
                 delay_inst_us=info.pc1_delay_inst_us, delay_smooth_us=info.pc1_delay_smooth_us,
                 collision_rate=info.coll_rate_agg, airtime_util=info.airtime_util,
                 violation_rate=info.violation_rate, reward=reward, epsilon=eps,

@@ -321,9 +321,12 @@ class Simulator:
         self.clock = 0
 
         self.nodes: list[NodeState] = []
+        numbered: dict[tuple, int] = {}  # nodes named so far, by (tech, pclass)
         for cfg in contenders:
-            for i in range(cfg.count):
+            for _ in range(cfg.count):
                 idx = len(self.nodes)
+                i = numbered.get((cfg.tech, cfg.pclass), 0)
+                numbered[cfg.tech, cfg.pclass] = i + 1
                 name = f"{cfg.tech.value.lower()}_{cfg.pclass.value.lower()}_{i}"
                 node = NodeState(idx=idx, name=name, cfg=replace(cfg, count=1))
                 node.cw_current = node.cfg.cw_min

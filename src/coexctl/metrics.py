@@ -156,7 +156,8 @@ def step_metrics(
     # Fairness over within-window success airtime. A window that delivered
     # nothing scores the 1/n floor rather than a vacuous or stale value, so a
     # collision-collapsed channel cannot keep earning ghost fairness. The
-    # smoothed per-node shares are still tracked for reporting.
+    # smoothed per-node shares (airtime_ema) are carried, unread, for scoring
+    # f0 on them (ROADMAP item 1).
     jfi = jain_index(airtimes) if any(airtimes) else 1.0 / len(airtimes)
 
     util = min(busy_us / window_us, 1.0)

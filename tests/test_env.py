@@ -2,15 +2,15 @@
 
 import hashlib
 import struct
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from coexctl.env import (
-    ActionSpace,
+    ACTION_GRIDS,
     CoexEnv,
-    decode_action,
+    action_table,
     single_pc1_preset,
     coex_mix_preset,
 )
@@ -21,73 +21,90 @@ from coexctl.metrics import ALPHA_DELAY, StepMetrics, ema_update, jain_index
 
 # the observation's lambda normaliser when no dual sets one
 LAMBDA_MAX = DualController.lambda_max
+PC1, PC3 = (Tech.NRU, PClass.PC1), (Tech.NRU, PClass.PC3)
+
+
+def row(mode, i1, i3):
+    """The table row of PC1 option i1 and PC3 option i3."""
+    return action_table(mode)[i1 * len(ACTION_GRIDS[mode][1]) + i3]
 
 
 # ----------------------------------------------------------------------
-# action spaces
+# action tables
 
 
 def test_cardinalities():
-    assert ActionSpace.for_mode("cw").cardinality == 49
-    assert ActionSpace.for_mode("aifsn").cardinality == 21
-    assert ActionSpace.for_mode("mcot").cardinality == 49
+    assert len(action_table("cw")) == 49
+    assert len(action_table("aifsn")) == 21
+    assert len(action_table("mcot")) == 49
+    for mode in ("CW", "dcf"):
+        with pytest.raises(ValueError, match="unknown action mode"):
+            action_table(mode)
 
 
 def test_cw_decode_examples():
-    space = ActionSpace.for_mode("cw")
-    d = decode_action(space.encode(0, 0), space)
-    assert d[PClass.PC1] == {"cw_min": 0, "cw_max": 0}
-    assert d[PClass.PC3] == {"cw_min": 15, "cw_max": 15}
-    d = decode_action(space.encode(3, 2), space)
-    assert d[PClass.PC1]["cw_max"] == 7
-    assert d[PClass.PC3]["cw_max"] == 63
+    assert row("cw", 0, 0) == {PC1: {"cw_min": 0, "cw_max": 0}, PC3: {"cw_min": 15, "cw_max": 15}}
+    assert row("cw", 3, 2)[PC1]["cw_max"] == 7
+    assert row("cw", 3, 2)[PC3]["cw_max"] == 63
 
 
 def test_mcot_decode_example():
-    space = ActionSpace.for_mode("mcot")
-    d = decode_action(0, space)
-    assert d[PClass.PC1] == {"mcot_us": 1000}
-    assert d[PClass.PC3] == {"mcot_us": 1000}
-    d = decode_action(space.cardinality - 1, space)
-    assert d[PClass.PC1] == {"mcot_us": 4000}
+    table = action_table("mcot")
+    assert table[0] == {PC1: {"mcot_us": 1000}, PC3: {"mcot_us": 1000}}
+    assert table[-1][PC1] == {"mcot_us": 4000}
 
 
 def test_aifsn_option_sets():
-    space = ActionSpace.for_mode("aifsn")
-    assert space.pc1_options == (1, 2, 3)
-    assert space.pc3_options == (1, 2, 3, 4, 5, 6, 7)
-    d = decode_action(space.encode(1, 6), space)
-    assert d[PClass.PC1] == {"aifsn": 2}
-    assert d[PClass.PC3] == {"aifsn": 7}
+    assert ACTION_GRIDS["aifsn"] == ((1, 2, 3), (1, 2, 3, 4, 5, 6, 7))
+    assert row("aifsn", 1, 6) == {PC1: {"aifsn": 2}, PC3: {"aifsn": 7}}
 
 
 @pytest.mark.parametrize("mode", ["cw", "aifsn", "mcot"])
 def test_decode_encode_bijection(mode):
-    space = ActionSpace.for_mode(mode)
-    seen = set()
-    for idx in range(space.cardinality):
-        i1, i3 = space.split(idx)
-        assert space.encode(i1, i3) == idx
-        decoded = tuple(sorted(decode_action(idx, space)[PClass.PC1].items()) +
-                        sorted(decode_action(idx, space)[PClass.PC3].items()))
-        assert decoded not in seen
-        seen.add(decoded)
-    assert len(seen) == space.cardinality
+    # row i1 * |PC3| + i3 sets PC1 by option i1 alone and PC3 by option i3 alone
+    table = action_table(mode)
+    n1, n3 = map(len, ACTION_GRIDS[mode])
+    assert len(table) == n1 * n3
+    for i1 in range(n1):
+        for i3 in range(n3):
+            assert table[i1 * n3 + i3][PC1] == table[i1 * n3][PC1]
+            assert table[i1 * n3 + i3][PC3] == table[i3][PC3]
+    assert len({repr(table[i1 * n3][PC1]) for i1 in range(n1)}) == n1
+    assert len({repr(table[i3][PC3]) for i3 in range(n3)}) == n3
+    assert set(table[0]) == {PC1, PC3}
 
 
 def test_decode_rejects_out_of_range():
-    space = ActionSpace.for_mode("cw")
-    with pytest.raises(ValueError):
-        decode_action(49, space)
-    with pytest.raises(ValueError):
-        decode_action(-1, space)
+    env = CoexEnv(coex_mix_preset(), action_mode="cw")
+    env.reset(seed=1)
+    for index in (49, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            env.step(index)
+    # nothing was applied: the nodes keep their preset parameters
+    assert [n.cfg for n in env.sim.nodes] == [replace(c, count=1) for c in coex_mix_preset()]
 
 
 def test_row_major_pc1_slowest():
-    space = ActionSpace.for_mode("cw")
-    assert space.split(0) == (0, 0)
-    assert space.split(6) == (0, 6)
-    assert space.split(7) == (1, 0)
+    table = action_table("cw")
+    assert table[0] == {PC1: {"cw_min": 0, "cw_max": 0}, PC3: {"cw_min": 15, "cw_max": 15}}
+    assert table[6] == {PC1: {"cw_min": 0, "cw_max": 0}, PC3: {"cw_min": 15, "cw_max": 1023}}
+    assert table[7] == {PC1: {"cw_min": 0, "cw_max": 1}, PC3: {"cw_min": 15, "cw_max": 15}}
+
+
+@pytest.mark.parametrize("mode", ["cw", "aifsn", "mcot"])
+def test_every_row_applies_to_the_dense_mix(mode):
+    preset = {(c.tech, c.pclass): replace(c, count=1) for c in coex_mix_preset(2, 3, 3)}
+    env = CoexEnv(coex_mix_preset(2, 3, 3), action_mode=mode, cr_lbt=True)
+    env.reset(seed=17)
+    ap_cfgs = [n.cfg for n in env.sim.nodes if n.cfg.tech == Tech.WIFI]
+    for index, assignment in enumerate(env.actions):
+        env.step(index)  # a row the simulator refused would raise ConfigError
+        for node in env.sim.nodes:
+            key = (node.cfg.tech, node.cfg.pclass)
+            if node.cfg.tech == Tech.NRU:
+                assert node.cfg == replace(preset[key], **assignment[key])
+        assert all(n.cfg is cfg for n, cfg in zip(env.sim.nodes[5:], ap_cfgs))
+    assert len({repr(r) for r in env.actions}) == len(env.actions)
 
 
 # ----------------------------------------------------------------------
@@ -198,12 +215,11 @@ def test_soft_reset_persists_medium_state():
 def test_mcot_mode_changes_frame_lengths():
     env = CoexEnv(coex_mix_preset(), action_mode="mcot")
     env.reset(seed=9)
-    space = env.space
-    env.step(space.encode(0, 0))  # MCOT 1000/1000
+    env.step(0)  # row (0, 0): MCOT 1000/1000
     for node in env.sim.nodes:
         if node.cfg.tech.value == "NRU":
             assert node.cfg.mcot_us == 1000
-    env.step(space.encode(6, 6))
+    env.step(6 * 7 + 6)  # row (6, 6)
     for node in env.sim.nodes:
         if node.cfg.tech.value == "NRU":
             assert node.cfg.mcot_us == 4000
@@ -216,7 +232,7 @@ def test_wifi_not_actuated_by_default(mode):
     # the gNB PC3 node and the AP share a class; an action moves only the gNB
     _, gnb_pc3, ap = env.sim.nodes
     before = gnb_pc3.cfg, ap.cfg
-    env.step(env.space.encode(0, 0))
+    env.step(0)  # row (0, 0)
     assert gnb_pc3.cfg != before[0]
     assert ap.cfg is before[1]
 
@@ -241,8 +257,8 @@ def test_repeated_action_is_applied_once_and_again_after_a_seeded_reset(monkeypa
     env.reset(seed=12)  # fresh simulator on the preset defaults
     env.step(4)
     assert len(calls) == 4
-    assert [n.cfg.aifsn for n in env.sim.nodes if n.cfg.tech == Tech.NRU] == [
-        env.space.pc1_options[0], env.space.pc3_options[4]]
+    pc1, pc3 = ACTION_GRIDS["aifsn"]
+    assert [n.cfg.aifsn for n in env.sim.nodes if n.cfg.tech == Tech.NRU] == [pc1[0], pc3[4]]
 
 
 @pytest.mark.parametrize("mode", ["cw", "aifsn", "mcot"])
@@ -253,8 +269,7 @@ def test_skipping_repeated_actions_leaves_results_unchanged(mode):
     env.reset(seed=13)
     ref.reset(seed=13)
     for a in actions:
-        ref.sim.apply_mac_params({(Tech.NRU, pclass): params
-                                  for pclass, params in decode_action(int(a), ref.space).items()})
+        ref.sim.apply_mac_params(action_table(mode)[int(a)])
         r, want = env.step(int(a)), ref.step(None)
         assert r == want
         assert np.array_equal(env.observe(0.0, LAMBDA_MAX), ref.observe(0.0, LAMBDA_MAX))

@@ -160,10 +160,10 @@ def test_negative_seed_and_empty_coex_mix_are_refused_by_name(tmp_path, capsys, 
     assert not out_dir.exists()
 
 
-def test_single_pc1_ignores_all_zero_counts():
-    cfg = config_from_dict({"scenario": "single_pc1", "counts": {"gnb_pc1": 0, "gnb_pc3": 0,
-                                                                 "ap_pc3": 0}})
-    assert len(cfg.build_env().contenders) == 1
+@pytest.mark.parametrize("scenario", ["single_pc1", "coex"])
+def test_coex_mix_is_the_only_scenario(scenario):
+    with pytest.raises(ConfigFileError, match="unknown scenario preset"):
+        config_from_dict({"scenario": scenario})
 
 
 # one out-of-range value for every learner and dual field
@@ -391,7 +391,7 @@ def test_baseline_pc3_collisions_exceed_90_percent(tmp_path):
 
 
 def test_single_contender_report(tmp_path):
-    cfg = smoke_config(tmp_path, scenario="single_pc1")
+    cfg = smoke_config(tmp_path, counts={"gnb_pc1": 1, "gnb_pc3": 0, "ap_pc3": 0})
     report = cmd_baseline(cfg)
     assert report.mean_jfi == 1.0
     assert report.collision_probability["gNB PC1"] == 0.0
