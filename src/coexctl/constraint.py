@@ -12,7 +12,7 @@ learner saw, which keeps training and execution on one scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,24 +58,16 @@ def augment_state(obs: np.ndarray, lam: float, lambda_max: float) -> np.ndarray:
 
 
 @dataclass
-class DualController:
-    """Dual variable with EMA-smoothed violation feedback.
-
-    Every control step the scaled signed violation is folded into v_ema; every
-    update_period steps dual_update moves lambda against it and projects onto
-    [0, lambda_max]. v_ema persists across episode boundaries.
-    """
+class DualConfig:
+    """The dual's settings: the config file's `dual` section."""
 
     lambda_max: float = 5.0
     eta_lambda: float = 0.05
     update_period: int = 5
     kappa: float = 0.5
     alpha_v: float = 0.2
-    lam: float = 0.0
-    v_ema: float = 0.0
-    _comp: float = 0.0  # Kahan compensation for the accumulated updates
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         for name, ok, rule in (
             ("lambda_max", self.lambda_max >= 0, ">= 0"),
             ("eta_lambda", self.eta_lambda > 0, "> 0"),
@@ -85,6 +77,27 @@ class DualController:
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+    def controller(self) -> DualController:
+        """A fresh controller on these settings."""
+        return DualController(**asdict(self))
+
+
+@dataclass
+class DualController(DualConfig):
+    """Dual variable with EMA-smoothed violation feedback.
+
+    Every control step the scaled signed violation is folded into v_ema; every
+    update_period steps dual_update moves lambda against it and projects onto
+    [0, lambda_max]. v_ema persists across episode boundaries.
+    """
+
+    lam: float = 0.0
+    v_ema: float = 0.0
+    _comp: float = 0.0  # Kahan compensation for the accumulated updates
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def observe(self, v_scaled: float) -> float:
         """Fold one step's scaled violation into the EMA; returns the new EMA."""

@@ -16,14 +16,7 @@ import numpy as np
 
 from . import metrics as met
 from .constraint import augment_state
-from .medium import (
-    ConfigError,
-    ContenderConfig,
-    PClass,
-    Simulator,
-    Tech,
-    counters,
-)
+from .medium import ConfigError, ContenderConfig, PClass, Simulator, Tech
 
 STEP_DURATION_US = 2500
 EPISODE_STEPS = 100
@@ -66,23 +59,13 @@ def action_table(mode: str) -> list[dict]:
 
 
 def coex_mix_preset(gnb_pc1: int = 1, gnb_pc3: int = 1, ap_pc3: int = 1) -> list[ContenderConfig]:
-    """Saturated gNB PC1 / gNB PC3 / AP PC3 mix with default MAC parameters."""
-    contenders = []
-    if gnb_pc1:
-        contenders.append(
-            ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=7, cw_max=15,
-                            mcot_us=2000, count=gnb_pc1)
-        )
-    if gnb_pc3:
-        contenders.append(
-            ContenderConfig(Tech.NRU, PClass.PC3, aifsn=3, cw_min=127, cw_max=255,
-                            mcot_us=4000, count=gnb_pc3)
-        )
-    if ap_pc3:
-        contenders.append(
-            ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=3, cw_min=127, cw_max=255,
-                            mcot_us=4000, count=ap_pc3)
-        )
+    """Saturated mix with default MAC parameters, one entry per node: gnb_pc1
+    gNB PC1, then gnb_pc3 gNB PC3, then ap_pc3 AP PC3 entries. The entries of
+    one class share a config object; configs are replaced, never changed in place."""
+    pc1 = ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=7, cw_max=15, mcot_us=2000)
+    pc3 = ContenderConfig(Tech.NRU, PClass.PC3, aifsn=3, cw_min=127, cw_max=255, mcot_us=4000)
+    ap = ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=3, cw_min=127, cw_max=255, mcot_us=4000)
+    contenders = [pc1] * gnb_pc1 + [pc3] * gnb_pc3 + [ap] * ap_pc3
     if not contenders:
         raise ConfigError("scenario needs at least one contender")
     return contenders
@@ -125,7 +108,7 @@ class CoexEnv:
 
     @property
     def n_nodes(self) -> int:
-        return sum(c.count for c in self.contenders)
+        return len(self.contenders)
 
     @property
     def observation_dim(self) -> int:
@@ -149,7 +132,7 @@ class CoexEnv:
         self._step_count = 0
         self._metrics = met.StepMetrics.initial(len(self.sim.nodes))
         self._live = [n.stats for n in self.sim.nodes]
-        self._prev_counts = list(map(counters, self._live))
+        self._prev_counts = list(map(met.window_counters, self._live))
         self._prev_occupied = self.sim.occupied_us_at()
 
     def observe(self, lam: float, lambda_max: float) -> np.ndarray:
@@ -178,7 +161,7 @@ class CoexEnv:
             self._apply_action(action)
         sim = self.sim
         sim.run_for(STEP_DURATION_US)
-        counts = list(map(counters, self._live))
+        counts = list(map(met.window_counters, self._live))
         occupied = sim.occupied_us_at()
         busy = occupied - self._prev_occupied
         self._prev_occupied = occupied

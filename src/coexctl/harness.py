@@ -25,7 +25,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from . import __version__
-from .constraint import DualController
+from .constraint import DualConfig
 from .env import ACTION_GRIDS, D_TH_US, CoexEnv, coex_mix_preset
 from .learner import (
     EvalRollout,
@@ -40,18 +40,6 @@ from .learner import (
 
 
 COUNT_KEYS = ("gnb_pc1", "gnb_pc3", "ap_pc3")  # coex_mix node counts, by preset argument
-
-
-@dataclass
-class DualConfig:
-    lambda_max: float = DualController.lambda_max
-    eta_lambda: float = DualController.eta_lambda
-    update_period: int = DualController.update_period
-    kappa: float = DualController.kappa
-    alpha_v: float = DualController.alpha_v
-
-    def controller(self) -> DualController:
-        return DualController(**asdict(self))
 
 
 @dataclass
@@ -89,10 +77,13 @@ class ExperimentConfig:
         unknown = set(self.counts) - set(COUNT_KEYS)
         if unknown:
             raise ConfigFileError(f"unknown scenario count keys: {sorted(unknown)}")
+        for key, value in self.counts.items():
+            if not _is_int(value, 0):
+                raise ConfigFileError(f"counts: {key} must be an int >= 0, got {value!r}")
         if not any(self.node_counts().values()):
             raise ConfigFileError("counts: a coex_mix needs at least one node, all three are 0")
         for section, check in (("learner", self.learner.validate),
-                               ("dual", self.dual.controller)):
+                               ("dual", self.dual.validate)):
             try:
                 check()
             except ValueError as e:
@@ -136,8 +127,6 @@ def _well_typed(value, default) -> bool:
         return _is_int(value) or isinstance(value, float)
     if isinstance(default, tuple):  # hidden_layers
         return isinstance(value, list) and all(_is_int(v, 1) for v in value)
-    if isinstance(default, dict):  # counts
-        return isinstance(value, dict) and all(_is_int(v, 0) for v in value.values())
     return isinstance(value, type(default))
 
 
@@ -186,12 +175,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 # ----------------------------------------------------------------------
 # log and report files
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
 
 def write_step_log(path: str, rows: list[StepLog]) -> None:
     """CSV with a header row and CRLF line ends, the bytes csv.writer gives: no value
@@ -276,7 +259,7 @@ class EvalReport:
 
     def to_lines(self) -> list[str]:
         rows = {"d_th_ms": self.d_th_ms, **self.metrics()}
-        return [f"{key}={_fmt(value)}" for key, value in rows.items()]
+        return [f"{key}={value}" for key, value in rows.items()]
 
     def write(self, path: str) -> None:
         with open(path, "w") as f:

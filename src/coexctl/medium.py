@@ -96,7 +96,7 @@ def _is_pow2m1(v: int) -> bool:
 
 @dataclass
 class ContenderConfig:
-    """Static MAC parameters of one contender class instance."""
+    """Static MAC parameters of one contender (node)."""
 
     tech: Tech
     pclass: PClass
@@ -104,7 +104,6 @@ class ContenderConfig:
     cw_min: int
     cw_max: int
     mcot_us: int
-    count: int = 1
 
     def validate(self) -> None:
         if self.aifsn < 1:
@@ -121,8 +120,6 @@ class ContenderConfig:
             raise ConfigError(f"{self.label()}: cw_min must be 2^j - 1, got {self.cw_min}")
         if self.mcot_us <= 0:
             raise ConfigError(f"{self.label()}: mcot_us must be > 0, got {self.mcot_us}")
-        if self.count < 1:
-            raise ConfigError(f"{self.label()}: count must be >= 1, got {self.count}")
 
     def label(self) -> str:
         return f"{self.tech.value}/{self.pclass.value}"
@@ -207,8 +204,7 @@ class NodeStats:
         return self.success_air_us / occupied if occupied else 0.0
 
 
-# a NodeStats' counters and a ContenderConfig's contents, as tuples in field order
-counters = operator.attrgetter(*(f.name for f in fields(NodeStats)))
+# a ContenderConfig's contents, as a tuple in field order
 _cfg_fields = operator.attrgetter(*(f.name for f in fields(ContenderConfig)))
 
 
@@ -322,16 +318,14 @@ class Simulator:
 
         self.nodes: list[NodeState] = []
         numbered: dict[tuple, int] = {}  # nodes named so far, by (tech, pclass)
-        for cfg in contenders:
-            for _ in range(cfg.count):
-                idx = len(self.nodes)
-                i = numbered.get((cfg.tech, cfg.pclass), 0)
-                numbered[cfg.tech, cfg.pclass] = i + 1
-                name = f"{cfg.tech.value.lower()}_{cfg.pclass.value.lower()}_{i}"
-                node = NodeState(idx=idx, name=name, cfg=replace(cfg, count=1))
-                node.cw_current = node.cfg.cw_min
-                node.backoff = draw_backoff(self.rng, node.cw_current)
-                self.nodes.append(node)
+        for idx, cfg in enumerate(contenders):
+            i = numbered.get((cfg.tech, cfg.pclass), 0)
+            numbered[cfg.tech, cfg.pclass] = i + 1
+            name = f"{cfg.tech.value.lower()}_{cfg.pclass.value.lower()}_{i}"
+            node = NodeState(idx=idx, name=name, cfg=cfg)
+            node.cw_current = cfg.cw_min
+            node.backoff = draw_backoff(self.rng, node.cw_current)
+            self.nodes.append(node)
 
         self._heap: list[tuple[int, int, int, tuple]] = []
         self._seq = 0
@@ -417,7 +411,7 @@ class Simulator:
         return total
 
     def stats_snapshot(self) -> list[NodeStats]:
-        return [NodeStats(*counters(n.stats)) for n in self.nodes]
+        return [replace(n.stats) for n in self.nodes]
 
     def node_names(self) -> list[str]:
         return [n.name for n in self.nodes]

@@ -1,18 +1,18 @@
 """Per-control-step performance signals derived from the simulator's per-node counters.
 
-Converts one control window's per-node counters (the simulator's cumulative
-counter tuples, medium.counters, read at both window edges and diffed field by
-field where a signal reads them) into the smoothed signal set the controller
-observes: Jain's fairness index over per-node successful airtime,
-instantaneous and EMA-smoothed PC1 access delay, per-node collision rates, a
-fast-minus-slow collision trend, channel airtime utilization, and the
-QoS-violation rate. Sparse windows carry the previous value rather than
-emitting zeros, matching the smoothing the controller's constraint signal
-relies on.
+Converts one control window's per-node counters (the four cumulative NodeStats
+fields window_counters names, read at both window edges and diffed) into the
+smoothed signal set the controller observes: Jain's fairness index over
+per-node successful airtime, instantaneous and EMA-smoothed PC1 access delay,
+per-node collision rates, a fast-minus-slow collision trend, channel airtime
+utilization, and the QoS-violation rate. Sparse windows carry the previous
+value rather than emitting zeros, matching the smoothing the controller's
+constraint signal relies on.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +27,9 @@ ALPHA_SLOW = 0.05
 ALPHA_VIOLATION = 0.2
 
 OBS_CLIP = 5.0
+
+# the NodeStats fields a window's signals read, as the tuple step_metrics diffs
+window_counters = operator.attrgetter("successes", "collisions", "success_air_us", "delay_sum_us")
 
 
 def jain_index(airtimes: Sequence[float]) -> float:
@@ -70,7 +73,7 @@ class StepMetrics:
     violation_rate: float
     # carried smoothing state: per-node success-airtime EMA for the fairness
     # index, fast/slow EMAs of the aggregate collision rate for the trend
-    airtime_ema: list[float] = None
+    airtime_ema: list[float]
     coll_ema_fast: float = 0.0
     coll_ema_slow: float = 0.0
     coll_rate_agg: float = 0.0
@@ -101,12 +104,12 @@ def step_metrics(
 ) -> StepMetrics:
     """Fold one window's per-node counters into the next StepMetrics.
 
-    now and start hold each node's counter tuple (medium.counters) at the
-    window's end and start edge, one per node of prev in node-index order, else
-    ValueError; a field is diffed only where a signal reads it. pc1_nodes are
-    the indices of the PC1 nodes, whose mean access delay is the instantaneous
-    delay. busy_us is the channel occupancy inside the window, from the
-    simulator's occupancy integrator, so frames in flight at the edges count.
+    now and start hold each node's window_counters tuple at the window's end
+    and start edge, one per node of prev in node-index order, else ValueError.
+    pc1_nodes are the indices of the PC1 nodes, whose mean access delay is the
+    instantaneous delay. busy_us is the channel occupancy inside the window,
+    from the simulator's occupancy integrator, so frames in flight at the edges
+    count.
 
     pc1_pending_age_us is the age of the oldest undelivered PC1 head-of-line
     frame at the window edge. A window without PC1 completions carries the
@@ -124,7 +127,7 @@ def step_metrics(
 
     rates, airtimes, airtime_ema = [], [], []
     total_succ = total_coll = 0
-    for (succ, coll, air, _, _, _, _), (succ0, coll0, air0, _, _, _, _), r, e in zip(
+    for (succ, coll, air, _), (succ0, coll0, air0, _), r, e in zip(
             now, start, prev.collision_rate, prev.airtime_ema):
         succ, coll, air = succ - succ0, coll - coll0, air - air0
         total_succ += succ
@@ -141,8 +144,8 @@ def step_metrics(
     # exact integer sums, so the quotient is the correctly rounded mean
     pc1_succ = pc1_delay_sum = 0
     for i in pc1_nodes:
-        succ, _, _, _, _, _, delay = now[i]
-        succ0, _, _, _, _, _, delay0 = start[i]
+        succ, _, _, delay = now[i]
+        succ0, _, _, delay0 = start[i]
         pc1_succ += succ - succ0
         pc1_delay_sum += delay - delay0
     if pc1_succ:

@@ -81,7 +81,7 @@ def test_decode_rejects_out_of_range():
         with pytest.raises(ValueError, match="out of range"):
             env.step(index)
     # nothing was applied: the nodes keep their preset parameters
-    assert [n.cfg for n in env.sim.nodes] == [replace(c, count=1) for c in coex_mix_preset()]
+    assert [n.cfg for n in env.sim.nodes] == coex_mix_preset()
 
 
 def test_row_major_pc1_slowest():
@@ -93,7 +93,7 @@ def test_row_major_pc1_slowest():
 
 @pytest.mark.parametrize("mode", ["cw", "aifsn", "mcot"])
 def test_every_row_applies_to_the_dense_mix(mode):
-    preset = {(c.tech, c.pclass): replace(c, count=1) for c in coex_mix_preset(2, 3, 3)}
+    preset = {(c.tech, c.pclass): c for c in coex_mix_preset(2, 3, 3)}
     env = CoexEnv(coex_mix_preset(2, 3, 3), action_mode=mode, cr_lbt=True)
     env.reset(seed=17)
     ap_cfgs = [n.cfg for n in env.sim.nodes if n.cfg.tech == Tech.WIFI]

@@ -160,6 +160,16 @@ def test_negative_seed_and_empty_coex_mix_are_refused_by_name(tmp_path, capsys, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("count", [-1, 1.5, True])
+def test_validate_refuses_a_count_set_in_code_that_is_not_an_int_of_at_least_0(tmp_path, count):
+    cfg = smoke_config(tmp_path, counts={"gnb_pc1": count, "gnb_pc3": 1, "ap_pc3": 1})
+    with pytest.raises(ConfigFileError, match="counts: gnb_pc1"):
+        cfg.validate()
+    with pytest.raises(ConfigFileError, match="counts: gnb_pc1"):
+        cmd_baseline(cfg)
+    assert not os.path.exists(cfg.out_dir)
+
+
 @pytest.mark.parametrize("scenario", ["single_pc1", "coex"])
 def test_coex_mix_is_the_only_scenario(scenario):
     with pytest.raises(ConfigFileError, match="unknown scenario preset"):

@@ -539,13 +539,11 @@ def test_greedy_rollout_needs_at_least_one_episode(episodes):
 
 
 def test_a_mix_with_two_entries_of_one_class_reports_every_node():
-    from dataclasses import replace
-
     from coexctl.env import CoexEnv, coex_mix_preset
     from coexctl.learner import greedy_rollout
 
     pc1 = coex_mix_preset(1, 0, 0)[0]
-    env = CoexEnv([pc1, replace(pc1, count=2), *coex_mix_preset(0, 1, 1)])
+    env = CoexEnv([pc1, pc1, pc1, *coex_mix_preset(0, 1, 1)])
     rollout = greedy_rollout(env, None, None, episodes=1, seed=0)
     assert env.sim.node_names() == ["nru_pc1_0", "nru_pc1_1", "nru_pc1_2", "nru_pc3_0",
                                     "wifi_pc3_0"]

@@ -2,7 +2,7 @@
 
 import bisect
 import hashlib
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from coexctl.medium import (
     on_success,
     NodeState,
     NodeStats,
-    counters,
     _NEVER,
     _PENDING,
     _TX,
@@ -600,11 +599,11 @@ def test_countdown_due_at_a_busy_start_fires_after_a_raised_aifs():
 
 def dense_cr_contenders():
     return [
-        ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=7, cw_max=15, mcot_us=2000, count=2),
-        ContenderConfig(Tech.NRU, PClass.PC3, aifsn=3, cw_min=127, cw_max=255, mcot_us=4000,
-                        count=3),
-        ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=3, cw_min=127, cw_max=255, mcot_us=4000,
-                        count=3),
+        *[ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=7, cw_max=15, mcot_us=2000)] * 2,
+        *[ContenderConfig(Tech.NRU, PClass.PC3, aifsn=3, cw_min=127, cw_max=255,
+                          mcot_us=4000)] * 3,
+        *[ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=3, cw_min=127, cw_max=255,
+                          mcot_us=4000)] * 3,
     ]
 
 
@@ -831,10 +830,10 @@ def test_invariants_hold_under_random_mixes_and_assignments(run, cr_lbt, seed):
             if new and (new["cw_min"], new["cw_max"]) != (node.cfg.cw_min, node.cfg.cw_max):
                 settled[node.idx] = False
         sim.apply_mac_params(assignment)
-        before = [counters(node.stats) for node in sim.nodes]
+        before = [astuple(node.stats) for node in sim.nodes]
         out = sim.run_for(2_500)
         for node, start in zip(sim.nodes, before):
-            delta = NodeStats(*(a - b for a, b in zip(counters(node.stats), start)))
+            delta = NodeStats(*(a - b for a, b in zip(astuple(node.stats), start)))
             mine = [o for o in out if o.node == node.idx]
             spans = {kind: [o.duration_us for o in mine if o.kind == kind] for kind in TxKind}
             assert delta.successes == len(spans[TxKind.SUCCESS])

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coexctl import metrics
-from coexctl.medium import NodeStats, counters
+from coexctl.medium import NodeStats
 from coexctl.metrics import (
     StepMetrics,
     build_observation,
     ema_update,
     jain_index,
     observation_dim,
+    window_counters,
 )
 
 
@@ -96,8 +97,8 @@ def test_ema_rejects_bad_alpha():
 
 def step_metrics(window, *args, **kwargs):
     """metrics.step_metrics on the counters of window's NodeStats, gained from zero."""
-    now = [counters(s) for s in window]
-    return metrics.step_metrics(now, [counters(NodeStats())] * len(now), *args, **kwargs)
+    now = [window_counters(s) for s in window]
+    return metrics.step_metrics(now, [window_counters(NodeStats())] * len(now), *args, **kwargs)
 
 
 def initial3():
@@ -128,18 +129,19 @@ def test_window_of_another_node_count_is_refused():
 
 
 def test_window_edges_of_different_node_counts_are_refused():
-    now, start = [counters(NodeStats(successes=1))] * 3, [counters(NodeStats())] * 2
+    now = [window_counters(NodeStats(successes=1))] * 3
+    start = [window_counters(NodeStats())] * 2
     with pytest.raises(ValueError, match="window has 3 nodes, state 3, start edge 2"):
         metrics.step_metrics(now, start, [], initial3(), 2500, busy_us=0, d_th_us=2000.0)
 
 
 def test_only_the_gain_between_the_edges_counts():
-    start = [counters(NodeStats(successes=4, collisions=9, success_air_us=7000,
-                                delay_sum_us=123_456))] * 3
-    now = [counters(NodeStats(successes=5, collisions=12, success_air_us=7100,
-                              delay_sum_us=123_556)), start[1],
-           counters(NodeStats(successes=4, collisions=10, success_air_us=7000,
-                              delay_sum_us=123_456))]
+    start = [window_counters(NodeStats(successes=4, collisions=9, success_air_us=7000,
+                                       delay_sum_us=123_456))] * 3
+    now = [window_counters(NodeStats(successes=5, collisions=12, success_air_us=7100,
+                                     delay_sum_us=123_556)), start[1],
+           window_counters(NodeStats(successes=4, collisions=10, success_air_us=7000,
+                                     delay_sum_us=123_456))]
     m = metrics.step_metrics(now, start, [0, 1], initial3(), 2500, busy_us=0, d_th_us=2000.0)
     assert m.collision_rate == [0.75, 0.0, 1.0]
     assert m.pc1_delay_inst_us == 100.0

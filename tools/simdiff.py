@@ -8,13 +8,13 @@ both `Simulator`s. A scenario draws a contender mix, `cr_lbt` and a run of
 windows of random length, each preceded by a random assignment of `aifsn`,
 `cw_max` and `mcot_us` per (tech, class). The channel timings are the
 module's constants. `cw_min` stays at each node's starting value, as in the
-environment's cw mode. Both simulators are built with the working tree's
-arguments, so an older revision's extra parameters keep their defaults, and
-one whose `Simulator` still takes a channel-timings object first gets that
-object's defaults. After every window it compares the outcomes, `clock`,
-`occupied_us_at()`, every node's `NodeStats`, its backoff state, its life-cycle
-`state`, `pending_at` and `anchor`, and the access timer `_access_at`, so a stale
-timer shows before it changes an outcome. It prints the first mismatch and
+environment's cw mode. A drawn entry with a count of k becomes k contender
+configs, one per node. Both simulators are built with the working tree's
+arguments, so an older revision's extra parameters keep their defaults. After
+every window it compares the outcomes, `clock`, `occupied_us_at()`, every
+node's `NodeStats`, its backoff state, its life-cycle `state`, `pending_at` and
+`anchor`, and the access timer `_access_at`, so a stale timer shows before it
+changes an outcome. It prints the first mismatch and
 exits 1. A refactor that must not change the simulator's results reports 0
 mismatches.
 """
@@ -77,10 +77,9 @@ def draw_scenario(rng: np.random.Generator) -> dict:
 
 def build(mod, sc: dict):
     contenders = [mod.ContenderConfig(mod.Tech(c["key"][0]), mod.PClass(c["key"][1]),
-                                      c["aifsn"], c["cw_min"], c["cw_max"], c["mcot_us"],
-                                      c["count"]) for c in sc["mix"]]
-    older = (mod.MediumParams(),) if hasattr(mod, "MediumParams") else ()
-    return mod.Simulator(*older, contenders, cr_lbt_enabled=sc["cr_lbt"], seed=sc["seed"])
+                                      c["aifsn"], c["cw_min"], c["cw_max"], c["mcot_us"])
+                  for c in sc["mix"] for _ in range(c["count"])]
+    return mod.Simulator(contenders, cr_lbt_enabled=sc["cr_lbt"], seed=sc["seed"])
 
 
 def state(mod, sim, assignment: dict, duration: int):
