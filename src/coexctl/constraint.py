@@ -59,7 +59,7 @@ def augment_state(obs: np.ndarray, lam: float, lambda_max: float) -> np.ndarray:
 
 @dataclass
 class DualConfig:
-    """The dual's settings: the config file's `dual` section."""
+    """The dual's settings. Every run uses these defaults; tests vary them."""
 
     lambda_max: float = 5.0
     eta_lambda: float = 0.05

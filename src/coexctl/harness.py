@@ -3,11 +3,12 @@
 File formats, all plain text so diff-based oracles stay trivial:
   - experiment configs and run manifests: JSON (unknown keys rejected, so the
     removed keys learner.total_episodes, actuate_wifi and cr_redraw_on_defer
-    are too, and so are step_duration_us, episode_steps, learner.gamma and
-    learner.epsilon_{start,end,anneal_fraction}, now constants: 2.5 ms steps,
-    100-step episodes, gamma 0.99, and epsilon from 1.0 to 0.01 over the first
-    half of training; every value must have the JSON type of its field's
-    default)
+    are too, and so are step_duration_us, episode_steps, learner.gamma,
+    learner.epsilon_{start,end,anneal_fraction}, scenario and the dual
+    section, now constants: 2.5 ms steps, 100-step episodes, gamma 0.99,
+    epsilon from 1.0 to 0.01 over the first half of training, the coex_mix
+    preset and DualConfig's defaults; ExperimentConfig.validate refuses a
+    value whose type is not its field default's, from a file or from code)
   - per-step metrics logs and event traces: CSV with a fixed header row
   - evaluation reports: key=value lines, one metric per line
 """
@@ -46,7 +47,7 @@ COUNT_KEYS = ("gnb_pc1", "gnb_pc3", "ap_pc3")  # coex_mix node counts, by preset
 class ExperimentConfig:
     """Fully validated experiment description (full-scale training values as defaults)."""
 
-    scenario: str = "coex_mix"  # the one preset; policy artifacts record it
+    scenario: ClassVar[str] = "coex_mix"  # the one preset; policy artifacts record it
     action_mode: str = "cw"
     cr_lbt: bool = False
     scaling: bool = True
@@ -57,12 +58,22 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
     counts: dict = field(default_factory=lambda: {"gnb_pc1": 1, "gnb_pc3": 1, "ap_pc3": 1})
     learner: LearnerConfig = field(default_factory=LearnerConfig)
-    dual: DualConfig = field(default_factory=DualConfig)
     hard_episode_resets: bool = False
 
+    @property
+    def dual(self) -> DualConfig:
+        """The dual's settings, which no run varies: DualConfig's defaults."""
+        return DualConfig()
+
     def validate(self) -> None:
-        if self.scenario != "coex_mix":
-            raise ConfigFileError(f"unknown scenario preset: {self.scenario!r}")
+        """Every config rule, for a config from a file or from code: each field
+        and learner field has its default's type, then each value its range."""
+        for prefix, section in (("", self), ("learner: ", self.learner)):
+            for f in fields(section):
+                value = getattr(section, f.name)
+                default = f.default if f.default is not MISSING else f.default_factory()
+                if not _well_typed(value, default):
+                    raise ConfigFileError(f"{prefix}wrong type for {f.name!r}: {value!r}")
         if self.action_mode not in ACTION_GRIDS:
             raise ConfigFileError(f"action_mode must be {'/'.join(ACTION_GRIDS)},"
                                   f" got {self.action_mode!r}")
@@ -82,12 +93,10 @@ class ExperimentConfig:
                 raise ConfigFileError(f"counts: {key} must be an int >= 0, got {value!r}")
         if not any(self.node_counts().values()):
             raise ConfigFileError("counts: a coex_mix needs at least one node, all three are 0")
-        for section, check in (("learner", self.learner.validate),
-                               ("dual", self.dual.validate)):
-            try:
-                check()
-            except ValueError as e:
-                raise ConfigFileError(f"{section}: {e}") from e
+        try:
+            self.learner.validate()
+        except ValueError as e:
+            raise ConfigFileError(f"learner: {e}") from e
 
     def node_counts(self) -> dict:
         """The coex_mix node counts; a count the config leaves out is 1."""
@@ -118,7 +127,7 @@ def _is_int(value, lo: Optional[int] = None) -> bool:
 
 
 def _well_typed(value, default) -> bool:
-    """Whether a JSON value fits a field whose default is default."""
+    """Whether value fits a field whose default is default; a float field takes an int."""
     if isinstance(default, bool):
         return isinstance(value, bool)
     if isinstance(default, int):
@@ -126,21 +135,16 @@ def _well_typed(value, default) -> bool:
     if isinstance(default, float):
         return _is_int(value) or isinstance(value, float)
     if isinstance(default, tuple):  # hidden_layers
-        return isinstance(value, list) and all(_is_int(v, 1) for v in value)
+        return isinstance(value, tuple) and all(map(_is_int, value))
     return isinstance(value, type(default))
 
 
 def _from_dict(cls, data: dict, context: str):
     if not isinstance(data, dict):
         raise ConfigFileError(f"{context} must be a JSON object, got {data!r}")
-    defaults = {f.name: f.default if f.default is not MISSING else f.default_factory()
-                for f in fields(cls)}
-    unknown = set(data) - set(defaults)
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigFileError(f"unknown key {sorted(unknown)[0]!r} in {context}")
-    for key, value in data.items():
-        if not _well_typed(value, defaults[key]):
-            raise ConfigFileError(f"wrong type or range for {key!r} in {context}: {value!r}")
     return cls(**{key: tuple(value) if isinstance(value, list) else value
                   for key, value in data.items()})
 
@@ -148,10 +152,8 @@ def _from_dict(cls, data: dict, context: str):
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
     learner = _from_dict(LearnerConfig, data.pop("learner", {}), "learner")
-    dual = _from_dict(DualConfig, data.pop("dual", {}), "dual")
     cfg = _from_dict(ExperimentConfig, data, "experiment config")
     cfg.learner = learner
-    cfg.dual = dual
     cfg.validate()
     return cfg
 
@@ -165,12 +167,6 @@ def load_config(path: str) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigFileError(f"config {path} must hold a JSON object")
     return config_from_dict(data)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["learner"]["hidden_layers"] = list(d["learner"]["hidden_layers"])
-    return d
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +217,7 @@ def write_manifest(path: str, cfg: ExperimentConfig) -> None:
     env = cfg.build_env()
     dims = [env.observation_dim, *cfg.learner.hidden_layers, env.n_actions]
     manifest = {
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "code_version": code_version(),
         # the thread count training runs at: it moves speed, not results

@@ -280,6 +280,8 @@ class LearnerConfig:
             ("buffer_capacity", self.buffer_capacity > 0, "> 0"),
             ("learning_rate", self.learning_rate > 0, "> 0"),
             ("batch_size", self.batch_size > 0, "> 0"),
+            ("hidden_layers", all(width >= 1 for width in self.hidden_layers),
+             "widths >= 1"),
             ("target_sync_interval", self.target_sync_interval >= 1, ">= 1"),
         ):
             if not ok:

@@ -160,7 +160,7 @@ def step_metrics(
     # nothing scores the 1/n floor rather than a vacuous or stale value, so a
     # collision-collapsed channel cannot keep earning ghost fairness. The
     # smoothed per-node shares (airtime_ema) are carried, unread, for scoring
-    # f0 on them (ROADMAP item 1).
+    # f0 on them (ROADMAP item 2).
     jfi = jain_index(airtimes) if any(airtimes) else 1.0 / len(airtimes)
 
     util = min(busy_us / window_us, 1.0)

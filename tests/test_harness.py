@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import subprocess
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from coexctl.harness import (
     cmd_trace,
     code_version,
     config_from_dict,
-    config_to_dict,
     load_config,
     nearest_rank_percentile,
     read_report,
@@ -30,8 +30,10 @@ from coexctl.harness import (
     write_step_log,
 )
 from coexctl.cli import main
+from coexctl.constraint import DualConfig
 from coexctl.env import EPISODE_STEPS
 from coexctl.learner import LearnerConfig, StepLog, blas_threads
+from test_constraint import DUAL_OUT_OF_RANGE
 
 
 def smoke_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -124,23 +126,22 @@ def test_wrong_typed_value_rejected_by_name(tmp_path, capsys, data, key):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("dual", [
-    {"kappa": 0.0}, {"kappa": -1.0}, {"update_period": 0}, {"lambda_max": -1.0},
-    {"eta_lambda": 0.0}, {"alpha_v": 0.0}, {"alpha_v": 1.5},
+@pytest.mark.parametrize("key,value", [
+    ("episodes", 2.5), ("episodes", "5"), ("seed", True), ("d_th_us", True),
+    ("cr_lbt", "no"), ("learner.batch_size", 64.0),
 ])
-def test_invalid_dual_settings_rejected_before_any_run(tmp_path, capsys, dual):
-    with pytest.raises(ConfigFileError, match="dual"):
-        config_from_dict({"dual": dual})
+def test_validate_refuses_a_wrong_typed_value_set_in_code_by_name(tmp_path, key, value):
     cfg = smoke_config(tmp_path)
-    for key, value in dual.items():
-        setattr(cfg.dual, key, value)
-    with pytest.raises(ConfigFileError, match="dual"):
-        cmd_train(cfg)
+    section, _, name = key.rpartition(".")
+    if section:
+        cfg.learner = replace(cfg.learner, **{name: value})
+    else:
+        setattr(cfg, name, value)
+    with pytest.raises(ConfigFileError, match=f"{section}.*wrong type for '{name}'"):
+        cfg.validate()
+    with pytest.raises(ConfigFileError, match=f"wrong type for '{name}'"):
+        cmd_baseline(cfg)
     assert not os.path.exists(cfg.out_dir)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"dual": dual}))
-    assert main(["baseline", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("data,key", [
@@ -172,29 +173,27 @@ def test_validate_refuses_a_count_set_in_code_that_is_not_an_int_of_at_least_0(t
 
 @pytest.mark.parametrize("scenario", ["single_pc1", "coex"])
 def test_coex_mix_is_the_only_scenario(scenario):
-    with pytest.raises(ConfigFileError, match="unknown scenario preset"):
+    # a constant that policy artifacts record, not a config key
+    assert ExperimentConfig.scenario == "coex_mix"
+    with pytest.raises(ConfigFileError, match="unknown key 'scenario'"):
         config_from_dict({"scenario": scenario})
 
 
-# one out-of-range value for every learner and dual field
+# one out-of-range value for every learner field; DUAL_OUT_OF_RANGE holds the
+# dual's, which the config no longer sets and DualController checks
 OUT_OF_RANGE = [
     ("learner", "buffer_capacity", 0),
     ("learner", "learning_rate", 0.0),
     ("learner", "batch_size", 0),
     ("learner", "hidden_layers", [0]),
     ("learner", "target_sync_interval", 0),
-    ("dual", "lambda_max", -1.0),
-    ("dual", "eta_lambda", 0.0),
-    ("dual", "update_period", 0),
-    ("dual", "kappa", 0.0),
-    ("dual", "alpha_v", 1.5),
 ]
 
 
 def test_out_of_range_cases_cover_every_learner_and_dual_field():
-    covered = {(section, key) for section, key, _ in OUT_OF_RANGE}
-    assert covered == ({("learner", f) for f in vars(LearnerConfig())}
-                       | {("dual", f) for f in vars(ExperimentConfig().dual)})
+    assert {(section, key) for section, key, _ in OUT_OF_RANGE} == {
+        ("learner", f.name) for f in fields(LearnerConfig)}
+    assert {key for key, _ in DUAL_OUT_OF_RANGE} == {f.name for f in fields(DualConfig)}
 
 
 @pytest.mark.parametrize("section,key,value", OUT_OF_RANGE)
@@ -216,6 +215,8 @@ RETIRED_KEYS = {
     "learner.total_episodes": 10_000,
     "actuate_wifi": False,
     "cr_redraw_on_defer": False,
+    "scenario": "coex_mix",
+    "dual": asdict(DualConfig()),
 }
 
 
@@ -247,8 +248,8 @@ def test_unparseable_config(tmp_path):
 
 def test_config_roundtrip(tmp_path):
     cfg = smoke_config(tmp_path)
-    again = config_from_dict(config_to_dict(cfg))
-    assert config_to_dict(again) == config_to_dict(cfg)
+    again = config_from_dict(json.loads(json.dumps(asdict(cfg))))
+    assert again == cfg
 
 
 def test_step_log_bytes_are_those_of_csv_writer(tmp_path):

@@ -166,6 +166,15 @@ def test_network_output_dim_matches_actions():
         assert lrn.q_values(x).shape == (11,)
 
 
+@pytest.mark.parametrize("hidden_layers", [(0,), (16, 0), (-3,)])
+def test_learner_refuses_a_hidden_layer_narrower_than_one(hidden_layers):
+    config = LearnerConfig(hidden_layers=hidden_layers)
+    with pytest.raises(ValueError, match="hidden_layers must be widths >= 1"):
+        config.validate()
+    with pytest.raises(ValueError, match="hidden_layers"):
+        QLearner(obs_dim=9, n_actions=49, config=config)
+
+
 def test_target_initialized_as_copy_and_sync_idempotent():
     lrn = QLearner(obs_dim=4, n_actions=3, config=tiny_config(), seed=1)
     probe = np.random.default_rng(2).normal(size=(5, 4))
