@@ -89,22 +89,6 @@ def test_learner_cost_nonpositive_monotone(v):
 
 
 # ----------------------------------------------------------------------
-# DualController settings
-
-# out-of-range values for every DualConfig field, at and past each bound
-DUAL_OUT_OF_RANGE = [
-    ("lambda_max", -1.0), ("eta_lambda", 0.0), ("update_period", 0), ("kappa", 0.0),
-    ("kappa", -1.0), ("alpha_v", 0.0), ("alpha_v", 1.5),
-]
-
-
-@pytest.mark.parametrize("key,value", DUAL_OUT_OF_RANGE)
-def test_dual_setting_out_of_range_is_refused_by_name(key, value):
-    with pytest.raises(ValueError, match=key):
-        DualController(**{key: value})
-
-
-# ----------------------------------------------------------------------
 # dual_update
 
 

@@ -30,10 +30,9 @@ from coexctl.harness import (
     write_step_log,
 )
 from coexctl.cli import main
-from coexctl.constraint import DualConfig
+from coexctl.constraint import DualConfig, DualController
 from coexctl.env import EPISODE_STEPS
 from coexctl.learner import LearnerConfig, StepLog, blas_threads
-from test_constraint import DUAL_OUT_OF_RANGE
 
 
 def smoke_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -144,6 +143,25 @@ def test_validate_refuses_a_wrong_typed_value_set_in_code_by_name(tmp_path, key,
     assert not os.path.exists(cfg.out_dir)
 
 
+@pytest.mark.parametrize("dual", [
+    {"kappa": 0.0}, {"kappa": -1.0}, {"update_period": 0}, {"lambda_max": -1.0},
+    {"eta_lambda": 0.0}, {"alpha_v": 0.0}, {"alpha_v": 1.5},
+])
+def test_invalid_dual_settings_rejected_before_any_run(tmp_path, capsys, dual):
+    (key,) = dual
+    with pytest.raises(ValueError, match=key):
+        DualController(**dual)
+    # the config sets no dual: a file that tries is refused before any run
+    out_dir = tmp_path / "out"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dual": dual, "eval_episodes": 1, "out_dir": str(out_dir)}))
+    with pytest.raises(ConfigFileError, match="unknown key 'dual'"):
+        load_config(str(path))
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("data,key", [
     ({"seed": -1}, "seed"),
     ({"counts": {"gnb_pc1": 0, "gnb_pc3": 0, "ap_pc3": 0}}, "counts"),
@@ -179,26 +197,34 @@ def test_coex_mix_is_the_only_scenario(scenario):
         config_from_dict({"scenario": scenario})
 
 
-# one out-of-range value for every learner field; DUAL_OUT_OF_RANGE holds the
-# dual's, which the config no longer sets and DualController checks
+# one out-of-range value for every learner and dual field
 OUT_OF_RANGE = [
     ("learner", "buffer_capacity", 0),
     ("learner", "learning_rate", 0.0),
     ("learner", "batch_size", 0),
     ("learner", "hidden_layers", [0]),
     ("learner", "target_sync_interval", 0),
+    ("dual", "lambda_max", -1.0),
+    ("dual", "eta_lambda", 0.0),
+    ("dual", "update_period", 0),
+    ("dual", "kappa", 0.0),
+    ("dual", "alpha_v", 1.5),
 ]
+SECTIONS = {"learner": LearnerConfig, "dual": DualConfig}
 
 
 def test_out_of_range_cases_cover_every_learner_and_dual_field():
     assert {(section, key) for section, key, _ in OUT_OF_RANGE} == {
-        ("learner", f.name) for f in fields(LearnerConfig)}
-    assert {key for key, _ in DUAL_OUT_OF_RANGE} == {f.name for f in fields(DualConfig)}
+        (section, f.name) for section, cls in SECTIONS.items() for f in fields(cls)}
 
 
 @pytest.mark.parametrize("section,key,value", OUT_OF_RANGE)
 def test_out_of_range_learner_and_dual_values_are_refused_by_name(section, key, value):
-    with pytest.raises(ConfigFileError, match=key) as refused:
+    with pytest.raises(ValueError, match=key):
+        SECTIONS[section](**{key: value}).validate()
+    # a config file sets the learner; a dual section it refuses whole
+    named = key if section == "learner" else "unknown key 'dual'"
+    with pytest.raises(ConfigFileError, match=named) as refused:
         config_from_dict({section: {key: value}})
     assert section in str(refused.value)
 
