@@ -61,7 +61,7 @@ def action_table(mode: str) -> list[dict]:
 def coex_mix_preset(gnb_pc1: int = 1, gnb_pc3: int = 1, ap_pc3: int = 1) -> list[ContenderConfig]:
     """Saturated mix with default MAC parameters, one entry per node: gnb_pc1
     gNB PC1, then gnb_pc3 gNB PC3, then ap_pc3 AP PC3 entries. The entries of
-    one class share a config object; configs are replaced, never changed in place."""
+    one class share one config object, which is frozen."""
     pc1 = ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=7, cw_max=15, mcot_us=2000)
     pc3 = ContenderConfig(Tech.NRU, PClass.PC3, aifsn=3, cw_min=127, cw_max=255, mcot_us=4000)
     ap = ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=3, cw_min=127, cw_max=255, mcot_us=4000)

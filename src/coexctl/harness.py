@@ -1,14 +1,9 @@
 """Experiment orchestration: configs, presets, commands, logs, and reports.
 
 File formats, all plain text so diff-based oracles stay trivial:
-  - experiment configs and run manifests: JSON (unknown keys rejected, so the
-    removed keys learner.total_episodes, actuate_wifi and cr_redraw_on_defer
-    are too, and so are step_duration_us, episode_steps, learner.gamma,
-    learner.epsilon_{start,end,anneal_fraction}, scenario and the dual
-    section, now constants: 2.5 ms steps, 100-step episodes, gamma 0.99,
-    epsilon from 1.0 to 0.01 over the first half of training, the coex_mix
-    preset and DualConfig's defaults; ExperimentConfig.validate refuses a
-    value whose type is not its field default's, from a file or from code)
+  - experiment configs and run manifests: JSON (unknown keys rejected;
+    ExperimentConfig.validate refuses a value whose type is not its field
+    default's, from a file or from code)
   - per-step metrics logs and event traces: CSV with a fixed header row
   - evaluation reports: key=value lines, one metric per line
 """
@@ -176,8 +171,8 @@ def write_step_log(path: str, rows: list[StepLog]) -> None:
     """CSV with a header row and CRLF line ends, the bytes csv.writer gives: no value
     holds a comma, quote or newline, and str of a float is its repr."""
     with open(path, "w", newline="") as f:
-        f.write(",".join(StepLog.FIELDS) + "\r\n")
-        f.writelines(",".join(map(str, StepLog.row(r))) + "\r\n" for r in rows)
+        f.write(",".join(StepLog._fields) + "\r\n")
+        f.writelines(",".join(map(str, r)) + "\r\n" for r in rows)
 
 
 def read_step_log(path: str) -> list[dict]:
@@ -232,9 +227,9 @@ def write_manifest(path: str, cfg: ExperimentConfig) -> None:
 class EvalReport:
     """Per-node and aggregate evaluation quantities (delays in milliseconds)."""
 
-    # the metric names in file order after d_th_ms; a per-node metric has a row per node
-    AGGREGATES: ClassVar[tuple] = ("mean_pc1_delay_ms", "p95_pc1_delay_ms", "mean_jfi",
-                                   "violation_fraction")
+    # the metric names in file order; a per-node metric has a row per node
+    AGGREGATES: ClassVar[tuple] = ("d_th_ms", "mean_pc1_delay_ms", "p95_pc1_delay_ms",
+                                   "mean_jfi", "violation_fraction")
     PER_NODE: ClassVar[tuple] = ("collision_probability", "airtime_efficiency")
 
     nodes: list
@@ -247,15 +242,14 @@ class EvalReport:
     d_th_ms: float
 
     def metrics(self) -> dict[str, float]:
-        """The report's rows after d_th_ms, keyed and ordered as in the file."""
+        """The report's rows, keyed and ordered as in the file."""
         rows = {key: getattr(self, key) for key in self.AGGREGATES}
         for metric in self.PER_NODE:
             rows.update((f"{metric}[{n}]", getattr(self, metric)[n]) for n in self.nodes)
         return rows
 
     def to_lines(self) -> list[str]:
-        rows = {"d_th_ms": self.d_th_ms, **self.metrics()}
-        return [f"{key}={value}" for key, value in rows.items()]
+        return [f"{key}={value}" for key, value in self.metrics().items()]
 
     def write(self, path: str) -> None:
         with open(path, "w") as f:
@@ -263,7 +257,9 @@ class EvalReport:
 
 
 def read_report(path: str) -> EvalReport:
-    """Parse a report file; a malformed, repeated, missing or non-finite value is refused."""
+    """Parse a report file; a malformed, repeated, unknown, missing or non-finite
+    value is refused, and so is a per-node metric without rows or whose nodes
+    differ from the first per-node metric's."""
     scalars: dict[str, float] = {}
     per_node: dict[str, dict[str, float]] = {metric: {} for metric in EvalReport.PER_NODE}
     seen: set[str] = set()
@@ -289,20 +285,24 @@ def read_report(path: str) -> EvalReport:
                 if not node.endswith("]"):
                     raise ValueError(f"{path}:{number}: per-node report line without ']': {line!r}")
                 per_node[metric][node[:-1]] = parsed
-            else:
+            elif key in EvalReport.AGGREGATES:
                 scalars[key] = parsed
-    names = (*EvalReport.AGGREGATES, "d_th_ms")
-    for key in names:
+            else:
+                raise ValueError(f"{path}:{number}: unknown report key {key!r}: {line!r}")
+    for key in EvalReport.AGGREGATES:
         if key not in scalars:
             raise ValueError(f"{path}: report lacks {key}")
-    (first, first_nodes), (second, second_nodes) = per_node.items()
-    if set(first_nodes) != set(second_nodes):
-        only_first = ", ".join(sorted(set(first_nodes) - set(second_nodes))) or "none"
-        only_second = ", ".join(sorted(set(second_nodes) - set(first_nodes))) or "none"
-        raise ValueError(f"{path}: {first} and {second} list different nodes"
-                         f" (only in {first}: {only_first}; only in {second}: {only_second})")
-    return EvalReport(nodes=list(first_nodes), **per_node,
-                      **{key: scalars[key] for key in names})
+    first = EvalReport.PER_NODE[0]
+    nodes = set(per_node[first])
+    for metric, rows in per_node.items():
+        if not rows:
+            raise ValueError(f"{path}: report has no {metric} rows")
+        if set(rows) != nodes:
+            only_first = ", ".join(sorted(nodes - set(rows))) or "none"
+            only_here = ", ".join(sorted(set(rows) - nodes)) or "none"
+            raise ValueError(f"{path}: {first} and {metric} list different nodes"
+                             f" (only in {first}: {only_first}; only in {metric}: {only_here})")
+    return EvalReport(nodes=list(per_node[first]), **per_node, **scalars)
 
 
 def nearest_rank_percentile(samples: list[float], pct: float) -> float:

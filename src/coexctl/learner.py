@@ -14,10 +14,9 @@ import ctypes
 import functools
 import hashlib
 import json
-import operator
 import struct
-from dataclasses import dataclass, field, fields
-from typing import Callable, ClassVar, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -166,11 +165,6 @@ class MLP:
                 delta *= np.greater(acts[layer], 0.0, out=masks[layer - 1])
         return list(self._grads_w), list(self._grads_b)
 
-    def copy_from(self, other: "MLP") -> None:
-        np.copyto(self.flat, other.flat)
-
-
-
 
 class Adam:
     """Adam over one flat array, in place block by block; per element the
@@ -254,16 +248,11 @@ class ReplayBuffer:
         )
 
 
-def td_targets(
-    rewards: np.ndarray,
-    next_obs: np.ndarray,
-    terminals: np.ndarray,
-    target_q: Callable[[np.ndarray], np.ndarray],
-    gamma: float,
-) -> np.ndarray:
-    """y = r + gamma * max_a Q_target(s', a) for non-terminal, y = r otherwise."""
-    q_next = np.asarray(target_q(next_obs))
-    best = q_next.max(axis=1)
+def td_targets(rewards: np.ndarray, q_next: np.ndarray, terminals: np.ndarray,
+               gamma: float) -> np.ndarray:
+    """y = r + gamma * max_a q_next[a] for non-terminal, y = r otherwise, where
+    q_next holds the target network's Q-values of the next states, one row each."""
+    best = np.asarray(q_next).max(axis=1)
     return rewards + gamma * best * (~np.asarray(terminals, dtype=bool))
 
 
@@ -362,7 +351,7 @@ class QLearner:
         self.train_steps = 0
 
     def sync_target(self) -> None:
-        self.target.copy_from(self.online)
+        np.copyto(self.target.flat, self.online.flat)
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
         return self.online.forward(obs)[0]
@@ -377,7 +366,7 @@ class QLearner:
         obs, actions, rewards, next_obs, terminals = self.buffer.sample(
             self.config.batch_size, self.rng
         )
-        targets = td_targets(rewards, next_obs, terminals, self.target.forward, GAMMA)
+        targets = td_targets(rewards, self.target.forward(next_obs), terminals, GAMMA)
         q_all, acts = self.online.forward_cached(obs)
         n = len(actions)
         q_taken = q_all[np.arange(n), actions]
@@ -506,9 +495,9 @@ def load_policy(path: str) -> PolicyArtifact:
 # ----------------------------------------------------------------------
 # the rollout loop shared by training, evaluation and the baseline
 
-@dataclass
-class StepLog:
-    """One per-step training/evaluation log row."""
+class StepLog(NamedTuple):
+    """One per-step training/evaluation log row: the step log's columns are
+    StepLog._fields and a row's values are the tuple itself."""
 
     episode: int
     step: int
@@ -528,20 +517,11 @@ class StepLog:
     action: int
     loss: float
 
-    # the CSV header: the field names in declaration order, and StepLog.row(entry):
-    # the entry's values in that order as a tuple; both set below
-    FIELDS: ClassVar[tuple[str, ...]]
-    row: ClassVar[Callable[["StepLog"], tuple]]
-
-
-StepLog.FIELDS = tuple(f.name for f in fields(StepLog))
-StepLog.row = operator.attrgetter(*StepLog.FIELDS)
-
 
 @dataclass
 class TrainResult:
     learner: QLearner
-    log: list = field(default_factory=list)
+    log: list
 
 
 def _rollout(

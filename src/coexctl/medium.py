@@ -54,9 +54,8 @@ marks as collided without a sweep.
 from __future__ import annotations
 
 import heapq
-import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Optional, Union
 
@@ -94,9 +93,10 @@ def _is_pow2m1(v: int) -> bool:
     return v >= 0 and ((v + 1) & v) == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContenderConfig:
-    """Static MAC parameters of one contender (node)."""
+    """Static MAC parameters of one contender (node). Frozen: a new setting
+    replaces the config, so nodes can share one and it can key a cache."""
 
     tech: Tech
     pclass: PClass
@@ -202,10 +202,6 @@ class NodeStats:
     def airtime_efficiency(self) -> float:
         occupied = self.success_air_us + self.collision_air_us + self.reserve_us + self.pulse_us
         return self.success_air_us / occupied if occupied else 0.0
-
-
-# a ContenderConfig's contents, as a tuple in field order
-_cfg_fields = operator.attrgetter(*(f.name for f in fields(ContenderConfig)))
 
 
 def collision_probability(successes: int, collisions: int) -> float:
@@ -335,7 +331,7 @@ class Simulator:
         self._occupied_us = 0
         self._fires: dict[int, list[NodeState]] = {}
         self._outcomes: list[Union[TxOutcome, tuple]] = []  # and pulse records (see Outcomes)
-        # apply_mac_params' validated configs, by (old config fields, update)
+        # apply_mac_params' validated configs, by (old config, update)
         self._built_cfgs: dict[tuple, ContenderConfig] = {}
         # the train whose pulses are settled lazily: it passed its listen check
         # and its next event is its last pulse end
@@ -392,7 +388,7 @@ class Simulator:
             params = assignment.get((node.cfg.tech, node.cfg.pclass))
             if params is None:
                 continue
-            key = (_cfg_fields(node.cfg), tuple(params.items()))
+            key = (node.cfg, tuple(params.items()))
             new_cfg = self._built_cfgs.get(key)
             if new_cfg is None:
                 new_cfg = replace(node.cfg, **params)

@@ -264,7 +264,7 @@ def test_criterion_6_learner_oracles():
         rewards[2],
         rewards[3] + gamma * q_table[1].max(),
     ])
-    y = td_targets(rewards, next_obs, terminals, q_fn, gamma)
+    y = td_targets(rewards, q_fn(next_obs), terminals, gamma)
     bellman_ok = bool(np.all(np.abs(y - expected) <= 1e-9))
 
     # analytic gradients vs central finite differences on a 2-layer toy net

@@ -5,13 +5,16 @@ import glob
 import hashlib
 import json
 import os
+import re
 import subprocess
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR
+from coexctl import harness
 from coexctl.harness import (
     ConfigFileError,
     EvalReport,
@@ -282,16 +285,16 @@ def test_step_log_bytes_are_those_of_csv_writer(tmp_path):
     values = [-0.0, 1e-05, 2.5e-300, 1.7976931348623157e+308, 0.1, float("inf"), 123.0]
     rows = []
     for i, big in enumerate((0, 2**62, -(10**30))):
-        kw = {name: values[(i + k) % len(values)] for k, name in enumerate(StepLog.FIELDS)}
+        kw = {name: values[(i + k) % len(values)] for k, name in enumerate(StepLog._fields)}
         rows.append(StepLog(**{**kw, "episode": big, "step": 99 - i, "action": -1 + i}))
     path = tmp_path / "log.csv"
     write_step_log(str(path), rows)
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as f:  # the former writer: csv.writer, repr of floats
         w = csv.writer(f)
-        w.writerow(StepLog.FIELDS)
+        w.writerow(StepLog._fields)
         for r in rows:
-            w.writerow([repr(v) if isinstance(v, float) else str(v) for v in StepLog.row(r)])
+            w.writerow([repr(v) if isinstance(v, float) else str(v) for v in r])
     assert path.read_bytes() == ref.read_bytes()
     assert b"-0.0," in path.read_bytes() and b",1e-05," in path.read_bytes()
     assert read_step_log(str(path))[0]["action"] == -1
@@ -577,6 +580,51 @@ def test_report_whose_per_node_sets_differ_is_refused_by_name(tmp_path, capsys):
     assert match in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("drop,metric", [
+    ("collision_probability[", "collision_probability"),
+    ("airtime_efficiency[", "airtime_efficiency"),
+    pytest.param(tuple(f"{m}[" for m in EvalReport.PER_NODE), "collision_probability",
+                 id="all-per-node-rows"),
+])
+def test_report_without_rows_of_a_per_node_metric_is_refused_by_name(tmp_path, capsys,
+                                                                      drop, metric):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("\n".join(synthetic_report().to_lines()) + "\n")
+    bad.write_text("".join(line for line in good.read_text().splitlines(keepends=True)
+                           if not line.startswith(drop)))
+    match = f"bad.txt: report has no {metric} rows"
+    with pytest.raises(ValueError, match=match):
+        read_report(str(bad))
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["mean_delay_ms=0.5", "airtime_share[ap]=0.3"])
+def test_report_with_an_unknown_key_is_refused_by_line(tmp_path, line):
+    path = tmp_path / "bad.txt"
+    lines = synthetic_report().to_lines()
+    path.write_text("\n".join(lines + [line]) + "\n")
+    match = f"bad.txt:{len(lines) + 1}: unknown report key {line.split('=')[0]!r}"
+    with pytest.raises(ValueError, match=re.escape(match)):
+        read_report(str(path))
+
+
+def test_a_third_per_node_metric_is_written_read_back_and_compared(tmp_path, monkeypatch):
+    @dataclass
+    class WithShare(EvalReport):
+        PER_NODE: ClassVar[tuple] = (*EvalReport.PER_NODE, "airtime_share")
+        airtime_share: dict
+
+    monkeypatch.setattr(harness, "EvalReport", WithShare)
+    report = WithShare(**asdict(synthetic_report()), airtime_share={"gnb": 0.6, "ap": 0.4})
+    path = str(tmp_path / "r.txt")
+    report.write(path)
+    assert read_report(path) == report
+    table = cmd_compare([path, path])
+    assert [line.split()[0] for line in table.splitlines()[1:]] == list(report.metrics())
+    assert "airtime_share[ap]" in report.metrics()
+
+
 # ----------------------------------------------------------------------
 # compare
 
@@ -612,6 +660,16 @@ def test_compare_delta_semantics(tmp_path):
     assert float(cells[1]) == pytest.approx(0.974)
     assert float(cells[2]) == pytest.approx(0.457)
     assert float(cells[3]) == pytest.approx(0.457 - 0.974)
+
+
+def test_compare_shows_each_reports_threshold(tmp_path):
+    paths = []
+    for d_th_ms in (2.0, 3.0):
+        paths.append(str(tmp_path / f"d{d_th_ms}.txt"))
+        synthetic_report(d_th_ms=d_th_ms).write(paths[-1])
+    first_row = cmd_compare(paths).splitlines()[1].split()
+    assert first_row[0] == "d_th_ms"
+    assert [float(cell) for cell in first_row[1:]] == [2.0, 3.0, 1.0]
 
 
 def test_compare_with_itself_all_zero(tmp_path):

@@ -98,13 +98,13 @@ def test_epsilon_schedule_monotone_within_bounds():
 
 def test_td_targets_terminal_is_reward():
     q = lambda obs: np.zeros((len(obs), 2)) + 99.0
-    y = td_targets(np.array([0.5]), np.zeros((1, 3)), np.array([True]), q, 0.99)
+    y = td_targets(np.array([0.5]), q(np.zeros((1, 3))), np.array([True]), 0.99)
     assert y[0] == 0.5
 
 
 def test_td_targets_gamma_zero_is_reward():
     q = lambda obs: np.ones((len(obs), 2)) * 7.0
-    y = td_targets(np.array([0.3, -0.2]), np.zeros((2, 3)), np.array([False, False]), q, 0.0)
+    y = td_targets(np.array([0.3, -0.2]), q(np.zeros((2, 3))), np.array([False, False]), 0.0)
     assert np.allclose(y, [0.3, -0.2])
 
 
@@ -127,7 +127,7 @@ def test_td_targets_match_bellman_oracle_on_two_state_chain():
         -1.0,               # terminal
         2.0 + 0.9 * 0.25,
     ])
-    y = td_targets(rewards, next_obs, terminals, q_fn, gamma)
+    y = td_targets(rewards, q_fn(next_obs), terminals, gamma)
     assert np.allclose(y, expected, atol=1e-9)
 
 

@@ -2,7 +2,7 @@
 
 import bisect
 import hashlib
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
@@ -66,6 +66,13 @@ def test_invalid_config_names_field():
     bad = ContenderConfig(Tech.NRU, PClass.PC1, aifsn=2, cw_min=0, cw_max=14, mcot_us=2000)
     with pytest.raises(ConfigError, match="cw_max"):
         Simulator([bad], seed=0)
+
+
+def test_contender_config_is_frozen():
+    cfg = coex_mix_contenders()[0]
+    with pytest.raises(FrozenInstanceError):
+        cfg.aifsn = 3
+    assert cfg.aifsn == 2
 
 
 def test_same_seed_identical_first_1000_outcomes():
