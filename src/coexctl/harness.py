@@ -258,8 +258,8 @@ class EvalReport:
 
 def read_report(path: str) -> EvalReport:
     """Parse a report file; a malformed, repeated, unknown, missing or non-finite
-    value is refused, and so is a per-node metric without rows or whose nodes
-    differ from the first per-node metric's."""
+    value is refused, and so is an empty node label and a per-node metric
+    without rows or whose nodes differ from the first per-node metric's."""
     scalars: dict[str, float] = {}
     per_node: dict[str, dict[str, float]] = {metric: {} for metric in EvalReport.PER_NODE}
     seen: set[str] = set()
@@ -284,6 +284,9 @@ def read_report(path: str) -> EvalReport:
             if metric in per_node:
                 if not node.endswith("]"):
                     raise ValueError(f"{path}:{number}: per-node report line without ']': {line!r}")
+                if node == "]":
+                    raise ValueError(f"{path}:{number}: per-node report line with an empty"
+                                     f" node label: {line!r}")
                 per_node[metric][node[:-1]] = parsed
             elif key in EvalReport.AGGREGATES:
                 scalars[key] = parsed

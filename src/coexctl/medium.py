@@ -13,8 +13,8 @@ counting down during it, so two NR-U nodes can commit to the same boundary and
 a Wi-Fi node can start mid-gap and get stepped on at the boundary. This is what
 makes simultaneous-start collisions the dominant failure mode of plain LBT
 under saturation. CR pulses, by contrast, are real energy: they freeze other
-countdowns, and a committed node that hears energy during one of its listen
-intervals aborts the attempt and re-defers without advancing its backoff stage.
+countdowns, and a committed node that hears energy while it listens aborts
+the attempt and re-defers without advancing its backoff stage.
 
 Any temporal overlap between data transmissions is a collision for every
 participant. Reservation holds and CR pulses never corrupt data.
@@ -30,19 +30,29 @@ its first pulse start to its last pulse end (or its abort), while occupancy
 still counts only the pulses. Nodes that pulse in phase are exactly those that
 committed at the same microsecond; together they are one train.
 
+Every live commit is to the next boundary: a commit made at t goes to
+ceil(t / NRU_SLOT_BOUNDARY_US) * NRU_SLOT_BOUNDARY_US and fires there or
+aborts before it. So the simulator keeps one list of the committed nodes, in
+commit order, beside the one boundary whose fire starts their frames in that
+order. A CR commit made at t sends min((boundary - t) // CR_SLOT_US,
+CR_SLOT_COUNT) pulses, one a slot from t. It listens from its last pulse end
+up to the boundary, and a commit with no pulses listens the whole time; energy
+starting while it listens aborts it.
+
 A train starts in the access-timer call where its members commit and is two
 heap events: its first pulse end (the listen check) and its last pulse end.
 Its first pulse freezes every countdown and aborts every other live commit
-(each is in a listen half or its tail), and a data frame still on air at the
-check aborts the train, so no hold can start during a train that passed its
-check: it is the channel's only occupant until its last pulse ends. So the
-pulses after the check are settled in closed form, by the last pulse end and
-at the end of each run_for window: each pulse ended adds its half to occupancy
-and pulse_us, and an open pulse sets the occupancy count and start. The pulses
-a settle ends become one record, (first pulse start, stop, keys), where keys
-are the members' (idx, tech, pclass); run_for returns them as Outcomes, which
-expands each record into its CR_PULSE outcomes, in time and node-index order,
-only when a caller first reads it.
+(each committed earlier and is listening), and a data frame still on air at
+the check aborts the train, so no hold can start during a train that passed
+its check: it is the channel's only occupant until its last pulse ends. So no
+blocking start lands inside a train's pulses, a member is aborted only at its
+check, and the pulses after the check are settled in closed form, by the last
+pulse end and at the end of each run_for window: each pulse ended adds its half
+to occupancy and pulse_us, and an open pulse sets the occupancy count and
+start. The pulses a settle ends become one record, (first pulse start, stop,
+keys), where keys are the members' (idx, tech, pclass); run_for returns them
+as Outcomes, which expands each record into its CR_PULSE outcomes, in time and
+node-index order, only when a caller first reads it.
 
 Every running countdown is served by one access timer kept beside the heap,
 always at the earliest countdown end. The idle and freeze sweeps set it as
@@ -218,14 +228,6 @@ _TX = 3        # data frame in flight
 
 
 @dataclass
-class _Commit:
-    t0: int
-    boundary: int
-    n_pulses: int = 0
-    held: bool = False  # a CR train member's hold on the channel, first pulse to last
-
-
-@dataclass
 class _Train:
     """CR nodes pulsing in phase (live commits made at t0), from their first pulse on."""
 
@@ -250,7 +252,7 @@ class NodeState:
     anchor: int = 0
     pending_at: int = 0
     aifs: int = 0  # SIFS + aifsn slots of the current cfg, cached by the Simulator
-    commit: Optional[_Commit] = None
+    commit_at: int = 0  # when the node committed; read only while it is _COMMITTED
     collided: bool = False  # the data frame in flight overlapped another
     stats: NodeStats = field(default_factory=NodeStats)
 
@@ -329,7 +331,10 @@ class Simulator:
         self._occ_count = 0
         self._occ_since = 0
         self._occupied_us = 0
-        self._fires: dict[int, list[NodeState]] = {}
+        # the committed nodes, in commit order, and the boundary they fire at,
+        # whose _EV_FIRE is on the heap: every live commit is to the next boundary
+        self._committed: list[NodeState] = []
+        self._fire_at = 0
         self._outcomes: list[Union[TxOutcome, tuple]] = []  # and pulse records (see Outcomes)
         # apply_mac_params' validated configs, by (old config, update)
         self._built_cfgs: dict[tuple, ContenderConfig] = {}
@@ -444,15 +449,19 @@ class Simulator:
         if self._blocking == 0:
             self._freeze_pending(t)
         self._blocking += holds
-        if not self.cr_lbt_enabled:
+        if not self.cr_lbt_enabled or not self._committed:
             return
-        # Energy appearing inside a committed CR node's listen interval aborts
-        # it. The new holds are counted first, so the aborts cannot idle the
-        # channel; a node taking a hold is never in its own listen interval.
-        for node in self.nodes:
-            c = node.commit
-            if c is not None and self._in_listen(c, t):
-                self._abort_commit(node, t)
+        # Energy aborts a committed CR node that is listening: from its last
+        # pulse end (its whole gap if it has no pulses) up to the boundary. No
+        # blocking start lands inside a train's pulses, and a train's members
+        # are not listening at its first pulse.
+        slot, listening = CR_SLOT_US, []
+        for node in self._committed:
+            pulses = min((self._fire_at - node.commit_at) // slot, CR_SLOT_COUNT)
+            if t >= node.commit_at + (pulses * slot - slot // 2 if pulses else 0):
+                listening.append(node)
+        for node in listening:
+            self._abort_commit(node)
 
     def _blocking_end(self, t: int, holds: int = 1) -> None:
         self._blocking -= holds
@@ -509,43 +518,37 @@ class Simulator:
         for node in self.nodes:
             if node.state == _PENDING and node.pending_at == t:
                 self._access(node, t)
-                if node.commit is not None and node.commit.n_pulses:
+                if node.state == _COMMITTED:
                     members.append(node)
         self._arm_access()
-        if members:
+        if members and self.cr_lbt_enabled:
             self._start_train(t, members)
 
     def _access(self, node: NodeState, t: int) -> None:
-        if node.cfg.tech == Tech.WIFI:
-            self._start_tx(node, t)
-            return
         period = NRU_SLOT_BOUNDARY_US
         boundary = ((t + period - 1) // period) * period
-        if boundary == t:
-            self._start_tx(node, t)
+        if node.cfg.tech == Tech.WIFI or boundary == t:
+            self._start_tx(t, (node,))
         else:
             self._commit(node, t, boundary)
 
     def _commit(self, node: NodeState, t: int, boundary: int) -> None:
-        commit = _Commit(t0=t, boundary=boundary)
-        node.commit = commit
+        node.commit_at = t
         node.state = _COMMITTED
-        if boundary not in self._fires:
-            self._fires[boundary] = []
-            self._push(boundary, _EV_FIRE, (boundary,))
-        self._fires[boundary].append(node)
-        if self.cr_lbt_enabled:
-            gap = boundary - t
-            commit.n_pulses = min(gap // CR_SLOT_US, CR_SLOT_COUNT)
-            return
-        self._occ_start(t)  # reservation hold
+        if boundary != self._fire_at:
+            self._fire_at = boundary
+            self._push(boundary, _EV_FIRE, ())
+        self._committed.append(node)
+        if not self.cr_lbt_enabled:
+            self._occ_start(t)  # reservation hold
 
     def _start_train(self, t: int, members: list[NodeState]) -> None:
         """A train's first pulse: its members hold the channel until their last pulse ends."""
+        n_pulses = min((self._fire_at - t) // CR_SLOT_US, CR_SLOT_COUNT)
+        if not n_pulses:  # too close to the boundary: the members only listen
+            return
         keys = tuple((node.idx, node.cfg.tech, node.cfg.pclass) for node in members)
-        tr = _Train(t, members, members[0].commit.n_pulses, keys)
-        for node in members:
-            node.commit.held = True
+        tr = _Train(t, members, n_pulses, keys)
         self._blocking_start(t, len(members))
         self._occ_start(t, len(members))
         self._push(t + CR_SLOT_US // 2, _EV_PULSE_END, (tr,))
@@ -557,14 +560,13 @@ class Simulator:
         # the members' listen half starts: energy besides their own holds aborts them
         if self._blocking > len(tr.members):
             for node in tr.members:
-                self._abort_commit(node, t)
+                self._abort_commit(node)
         elif tr.edges < 2 * tr.n_pulses:  # settle the pulses up to the last lazily
             self._lazy = tr
             self._push(t + (tr.n_pulses - 1) * CR_SLOT_US, _EV_PULSE_END, (tr,))
-        else:  # the last pulse: the train's busy period ends
-            for node in tr.members:
-                node.commit.held = False
-            self._blocking_end(t, len(tr.members))
+            return
+        # the check failed or the last pulse ended: the train's busy period ends
+        self._blocking_end(t, len(tr.members))
 
     def _settle(self, tr: _Train, t: int) -> None:
         """Settle the train's pulse edges up to t in closed form (see module docstring).
@@ -588,42 +590,34 @@ class Simulator:
         for node in tr.members:
             node.stats.pulse_us += (ended - first) * half
 
-    def _in_listen(self, c: _Commit, t: int) -> bool:
-        if t < c.t0 or t >= c.boundary:
-            return False
-        d, slot = t - c.t0, CR_SLOT_US
-        # a listen half, or the rest of the gap after the pulses
-        return d >= c.n_pulses * slot or d % slot >= slot // 2
-
-    def _abort_commit(self, node: NodeState, t: int) -> None:
-        c = node.commit
-        self._fires[c.boundary].remove(node)
-        node.commit = None
+    def _abort_commit(self, node: NodeState) -> None:
+        self._committed.remove(node)
         node.state = _DEFER
         # no BEB advance and no redraw; re-anchors at the next idle transition
-        if c.held:
-            self._blocking_end(t)
 
-    def _ev_fire(self, t: int, boundary: int) -> None:
-        for node in self._fires.pop(boundary):
-            c = node.commit
-            if not self.cr_lbt_enabled:
-                self._occ_end(t)
-                if t > c.t0:
-                    self._emit(node, TxKind.RS, c.t0, t)
-                node.stats.reserve_us += t - c.t0
-            node.commit = None
-            self._start_tx(node, t)
+    def _ev_fire(self, t: int) -> None:
+        committed, self._committed = self._committed, []
+        if not committed:  # every commit to this boundary was aborted
+            return
+        if not self.cr_lbt_enabled:
+            self._occ_end(t, len(committed))  # the reservation holds end
+            for node in committed:
+                if t > node.commit_at:
+                    self._emit(node, TxKind.RS, node.commit_at, t)
+                node.stats.reserve_us += t - node.commit_at
+        self._start_tx(t, committed)
 
-    def _start_tx(self, node: NodeState, t: int) -> None:
-        node.collided = False
-        for other in self._on_air:
-            other.collided = node.collided = True
-        self._on_air.append(node)
-        node.state = _TX
-        self._occ_start(t)
-        self._blocking_start(t)
-        self._push(t + node.cfg.mcot_us, _EV_TX_END, (node.idx, t))
+    def _start_tx(self, t: int, nodes: Sequence[NodeState]) -> None:
+        """Start the nodes' data frames at t, in order, as one blocking start."""
+        for node in nodes:
+            node.collided = False
+            for other in self._on_air:
+                other.collided = node.collided = True
+            self._on_air.append(node)
+            node.state = _TX
+            self._push(t + node.cfg.mcot_us, _EV_TX_END, (node.idx, t))
+        self._occ_start(t, len(nodes))
+        self._blocking_start(t, len(nodes))
 
     def _ev_tx_end(self, t: int, idx: int, start: int) -> None:
         node = self.nodes[idx]

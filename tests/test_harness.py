@@ -569,6 +569,19 @@ def test_per_node_report_line_without_closing_bracket_is_refused(tmp_path):
         read_report(str(path))
 
 
+def test_per_node_report_line_with_an_empty_node_label_is_refused_by_line(tmp_path, capsys):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    lines = synthetic_report().to_lines()
+    good.write_text("\n".join(lines) + "\n")
+    bad.write_text("\n".join(lines + ["collision_probability[]=0.1",
+                                      "airtime_efficiency[]=0.2"]) + "\n")
+    match = f"bad.txt:{len(lines) + 1}: per-node report line with an empty node label"
+    with pytest.raises(ValueError, match=re.escape(match)):
+        read_report(str(bad))
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert match in capsys.readouterr().err
+
+
 def test_report_whose_per_node_sets_differ_is_refused_by_name(tmp_path, capsys):
     good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
     good.write_text("\n".join(synthetic_report().to_lines()) + "\n")

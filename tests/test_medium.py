@@ -22,6 +22,7 @@ from coexctl.medium import (
     on_success,
     NodeState,
     NodeStats,
+    _COMMITTED,
     _NEVER,
     _PENDING,
     _TX,
@@ -274,6 +275,28 @@ def test_cr_pulses_block_wifi_countdown():
         gap_start = p.start_us
         # no Wi-Fi data transmission begins strictly inside any pulse
         assert not any(gap_start < s < p.end_us for s in starts)
+
+
+def test_cr_commit_without_pulses_listens_until_the_boundary():
+    # The NR-U node commits at 484 us, 16 us before the boundary: too close
+    # for a pulse, so it listens the whole time. The Wi-Fi frame starting at
+    # 493 us aborts the commit, so no NR-U data starts at 500 us. The 5 us
+    # frame has ended by then, so the boundary's fire, left with no committed
+    # node, meets an idle channel and must leave the countdowns running: the
+    # NR-U node commits again at 982 us, pulses once and sends at 1000 us.
+    cfg = [
+        ContenderConfig(Tech.NRU, PClass.PC1, aifsn=52, cw_min=0, cw_max=0, mcot_us=1000),
+        ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=53, cw_min=0, cw_max=0, mcot_us=5),
+    ]
+    sim = Simulator(cfg, cr_lbt_enabled=True, seed=0)
+    assert list(sim.run_for(490)) == []
+    assert sim.nodes[0].state == _COMMITTED and sim.nodes[0].commit_at == 484
+    out = sim.run_for(1_610)
+    assert [(o.node, o.kind, o.start_us, o.end_us) for o in out] == [
+        (1, TxKind.SUCCESS, 493, 498),
+        (0, TxKind.CR_PULSE, 982, 991),
+        (0, TxKind.SUCCESS, 1000, 2000),
+    ]
 
 
 def test_cr_cross_tech_tie_resolves_without_collision():
@@ -775,7 +798,7 @@ def test_no_hold_starts_during_a_train_that_passed_its_check(monkeypatch, mcot_u
 
     def counted_pulse_end(self, t, tr):
         pulse_end(self, t, tr)
-        if t == tr.t0 + medium.CR_SLOT_US // 2 and tr.members[0].commit is not None:
+        if t == tr.t0 + medium.CR_SLOT_US // 2 and tr.members[0].state == _COMMITTED:
             passed.append(tr)
 
     monkeypatch.setattr(Simulator, "_blocking_start", checked_blocking_start)
@@ -870,12 +893,17 @@ def test_invariants_hold_under_random_mixes_and_assignments(run, cr_lbt, seed):
 
 
 def check_timer_and_on_air(sim):
-    # the sweeps arm the access timer at the earliest running countdown, and
-    # the on-air list holds exactly the nodes with a data frame in flight
+    # the sweeps arm the access timer at the earliest running countdown, the
+    # on-air list holds exactly the nodes with a data frame in flight, and the
+    # committed list exactly the committed nodes, each to the next boundary
     assert sim._access_at == min(
         (node.pending_at for node in sim.nodes if node.state == _PENDING), default=_NEVER)
     assert sorted(node.idx for node in sim._on_air) == [
         node.idx for node in sim.nodes if node.state == _TX]
+    assert sorted(node.idx for node in sim._committed) == [
+        node.idx for node in sim.nodes if node.state == _COMMITTED]
+    for node in sim._committed:
+        assert sim._fire_at - medium.NRU_SLOT_BOUNDARY_US <= node.commit_at < sim._fire_at
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,13 @@ imports nothing from the package) and runs N seeded random scenarios through
 both `Simulator`s. A scenario draws a contender mix, `cr_lbt` and a run of
 windows of random length, each preceded by a random assignment of `aifsn`,
 `cw_max` and `mcot_us` per (tech, class). The channel timings are the
-module's constants. `cw_min` stays at each node's starting value, as in the
+module's constants, except `CR_SLOT_COUNT`: each scenario draws it from
+{5, 27} and sets it on both modules. Both values meet the train invariants of
+the module docstring. With 27 pulses a commit's listen tail, from its last
+pulse end to the boundary, is shorter than 27 us, and 3000 scenarios at 27
+abort no commit there, only at a train's listen check or with no pulses; 5
+pulses leave a tail of up to 418 us, where frames and other trains abort many
+commits. `cw_min` stays at each node's starting value, as in the
 environment's cw mode. A drawn entry with a count of k becomes k contender
 configs, one per node. Both simulators are built with the working tree's
 arguments, so an older revision's extra parameters keep their defaults. After
@@ -72,10 +78,12 @@ def draw_scenario(rng: np.random.Generator) -> dict:
         "cr_lbt": bool(rng.random() < 0.6),
         "seed": int(rng.integers(2**16)),
         "windows": windows,
+        "cr_slot_count": int(rng.choice([5, 27])),
     }
 
 
 def build(mod, sc: dict):
+    mod.CR_SLOT_COUNT = sc["cr_slot_count"]
     contenders = [mod.ContenderConfig(mod.Tech(c["key"][0]), mod.PClass(c["key"][1]),
                                       c["aifsn"], c["cw_min"], c["cw_max"], c["mcot_us"])
                   for c in sc["mix"] for _ in range(c["count"])]
