@@ -30,35 +30,38 @@ its first pulse start to its last pulse end (or its abort), while occupancy
 still counts only the pulses. Nodes that pulse in phase are exactly those that
 committed at the same microsecond; together they are one train.
 
-Every live commit is to the next boundary: a commit made at t goes to
-ceil(t / NRU_SLOT_BOUNDARY_US) * NRU_SLOT_BOUNDARY_US and fires there or
-aborts before it. So the simulator keeps one list of the committed nodes, in
-commit order, beside the one boundary whose fire starts their frames in that
-order. A CR commit made at t sends min((boundary - t) // CR_SLOT_US,
-CR_SLOT_COUNT) pulses, one a slot from t. It listens from its last pulse end
-up to the boundary, and a commit with no pulses listens the whole time; energy
-starting while it listens aborts it.
+Every live commit is to the next boundary, ceil(t / NRU_SLOT_BOUNDARY_US) *
+NRU_SLOT_BOUNDARY_US for a commit made at t, and fires there or aborts before
+it. So the simulator keeps one list of the committed nodes, in commit order,
+whose one boundary fire starts their frames in that order. A CR commit made at
+t sends _pulses(t) pulses, one a slot from t, and listens from its last pulse
+end up to the boundary (the whole time if it has no pulses); energy starting
+while it listens aborts it.
 
-A train starts in the access-timer call where its members commit and is two
-heap events: its first pulse end (the listen check) and its last pulse end.
-Its first pulse freezes every countdown and aborts every other live commit
-(each committed earlier and is listening), and a data frame still on air at
-the check aborts the train, so no hold can start during a train that passed
-its check: it is the channel's only occupant until its last pulse ends. So no
+A train starts in the access-timer call where its members commit and has two
+pulse-end events: its first pulse end (the listen check) and its last pulse
+end. Its first pulse freezes every countdown and aborts every other live commit
+(each committed earlier and is listening), and a data frame still on air at the
+check aborts the train, so no hold can start during a train that passed its
+check: it is the channel's only occupant until its last pulse ends. So no
 blocking start lands inside a train's pulses, a member is aborted only at its
 check, and the pulses after the check are settled in closed form, by the last
 pulse end and at the end of each run_for window: each pulse ended adds its half
 to occupancy and pulse_us, and an open pulse sets the occupancy count and
 start. The pulses a settle ends become one record, (first pulse start, stop,
-keys), where keys are the members' (idx, tech, pclass); run_for returns them
-as Outcomes, which expands each record into its CR_PULSE outcomes, in time and
+keys), where keys are the members' (idx, tech, pclass); run_for returns them as
+Outcomes, which expands each record into its CR_PULSE outcomes, in time and
 node-index order, only when a caller first reads it.
 
-Every running countdown is served by one access timer kept beside the heap,
-always at the earliest countdown end. The idle and freeze sweeps set it as
-they go; an access sweep re-arms it after, as an access can freeze later
-nodes. The nodes with a frame on air are kept in a list, which a frame start
-marks as collided without a sweep.
+Only frame ends, of which many can be pending, go on the event heap. Each other
+event has at most one pending, so it is a field beside the heap: the train's
+next pulse end (one train exists at a time), the boundary fire (armed while a
+commit is live) and the access timer, always at the earliest running countdown
+end (the idle and freeze sweeps set it as they go; an access sweep re-arms it
+after, as an access can freeze later nodes). run_for serves the earliest of the
+four, at equal times in the order it states. The channel is held while a frame
+is on air or a train runs; the nodes on air are kept in a list, which a frame
+start marks as collided without a sweep.
 """
 
 from __future__ import annotations
@@ -282,17 +285,12 @@ def on_success(node: NodeState, end_us: int, rng: np.random.Generator) -> NodeSt
     return node
 
 
-# Heap event kinds; a heap entry is (t, kind, seq, payload), so at equal
-# timestamps the kind sets the order: frees before pulse ends before fires, so
-# a frame ending exactly at a boundary does not collide with the transmission
-# starting there. The access timer goes after all three at equal times. One
-# pulse-end event serves all of a train's in-phase pulses, so they do not
-# abort each other.
-_EV_TX_END = 0
-_EV_PULSE_END = 1
-_EV_FIRE = 2
+def _pulses(t: int) -> int:
+    """The CR pulses of a commit made at t: one a slot from t, up to the next boundary."""
+    return min(-t % NRU_SLOT_BOUNDARY_US // CR_SLOT_US, CR_SLOT_COUNT)
 
-_NEVER = float("inf")  # access timer value while no countdown is running
+
+_NEVER = float("inf")  # the time of an event that is not pending
 
 
 class Simulator:
@@ -325,27 +323,27 @@ class Simulator:
             node.backoff = draw_backoff(self.rng, node.cw_current)
             self.nodes.append(node)
 
-        self._heap: list[tuple[int, int, int, tuple]] = []
+        # the frame ends: (end, seq, node idx, start); seq keeps equal ends in push order
+        self._heap: list[tuple[int, int, int, int]] = []
         self._seq = 0
-        self._blocking = 0
         self._occ_count = 0
         self._occ_since = 0
         self._occupied_us = 0
         # the committed nodes, in commit order, and the boundary they fire at,
-        # whose _EV_FIRE is on the heap: every live commit is to the next boundary
+        # _NEVER while none is: every live commit is to the next boundary
         self._committed: list[NodeState] = []
-        self._fire_at = 0
+        self._fire_at = _NEVER
         self._outcomes: list[Union[TxOutcome, tuple]] = []  # and pulse records (see Outcomes)
         # apply_mac_params' validated configs, by (old config, update)
         self._built_cfgs: dict[tuple, ContenderConfig] = {}
-        # the train whose pulses are settled lazily: it passed its listen check
-        # and its next event is its last pulse end
-        self._lazy: Optional[_Train] = None
+        # the train holding the channel and its next pulse end: first its
+        # listen check, then its last pulse end
+        self._train: Optional[_Train] = None
+        self._edge_at = _NEVER
         self._on_air: list[NodeState] = []  # the nodes whose data frame is in flight
         # the access timer: the earliest pending_at, or _NEVER
         self._access_at = _NEVER
         self._cache_aifs()
-        self._handlers = (self._ev_tx_end, self._ev_pulse_end, self._ev_fire)  # by kind
 
         # Channel idle at t=0: anchor everyone.
         self._on_idle(0)
@@ -361,23 +359,28 @@ class Simulator:
             raise ValueError("duration_us must be > 0")
         target = self.clock + int(duration_us)
         out = self._outcomes = []
-        heap, handlers = self._heap, self._handlers
+        heap = self._heap
         while True:
-            # the heap top or the access timer, which goes last at equal times
-            t = self._access_at
-            if heap and heap[0][0] <= t:
-                if heap[0][0] > target:
-                    break
-                t, kind, _, payload = heapq.heappop(heap)
-                self.clock = t
-                handlers[kind](t, *payload)
-            elif t <= target:
-                self.clock = t
-                self._ev_access(t)
-            else:
+            # the earliest event; at equal times frame ends go first, in start order
+            # (so one ending at a boundary does not collide with one starting
+            # there), then the pulse end, the boundary fire and the access timer
+            top = heap[0][0] if heap else _NEVER
+            t = min(top, self._edge_at, self._fire_at, self._access_at)
+            if t > target:
                 break
-        if self._lazy is not None:
-            self._settle(self._lazy, target)
+            self.clock = t
+            if top == t:
+                _, _, idx, start = heapq.heappop(heap)
+                self._ev_tx_end(t, self.nodes[idx], start)
+            elif self._edge_at == t:
+                self._ev_pulse_end(t)
+            elif self._fire_at == t:
+                self._ev_fire(t)
+            else:
+                self._ev_access(t)
+        tr = self._train
+        if tr is not None and tr.edges > 1:  # past its check: settled lazily
+            self._settle(tr, target)
         self.clock = target
         return Outcomes(out)
 
@@ -424,10 +427,6 @@ class Simulator:
         for node in self.nodes:
             node.aifs = SIFS_US + node.cfg.aifsn * OBS_SLOT_US
 
-    def _push(self, t: int, kind: int, payload: tuple) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (t, kind, self._seq, payload))
-
     def _emit(self, node: NodeState, kind: TxKind, start: int, end: int,
               delay: Optional[int] = None) -> None:
         self._outcomes.append(TxOutcome(node.idx, node.cfg.tech, node.cfg.pclass, kind,
@@ -445,10 +444,10 @@ class Simulator:
         if self._occ_count == 0:
             self._occupied_us += t - self._occ_since
 
-    def _blocking_start(self, t: int, holds: int = 1) -> None:
-        if self._blocking == 0:
+    def _blocking_start(self, t: int, idle: bool) -> None:
+        """Frames or a train start at t; if the channel was idle, they freeze the countdowns."""
+        if idle:
             self._freeze_pending(t)
-        self._blocking += holds
         if not self.cr_lbt_enabled or not self._committed:
             return
         # Energy aborts a committed CR node that is listening: from its last
@@ -457,16 +456,11 @@ class Simulator:
         # are not listening at its first pulse.
         slot, listening = CR_SLOT_US, []
         for node in self._committed:
-            pulses = min((self._fire_at - node.commit_at) // slot, CR_SLOT_COUNT)
+            pulses = _pulses(node.commit_at)
             if t >= node.commit_at + (pulses * slot - slot // 2 if pulses else 0):
                 listening.append(node)
         for node in listening:
             self._abort_commit(node)
-
-    def _blocking_end(self, t: int, holds: int = 1) -> None:
-        self._blocking -= holds
-        if self._blocking == 0:
-            self._on_idle(t)
 
     def _freeze_pending(self, t: int) -> None:
         slot, due = OBS_SLOT_US, _NEVER
@@ -525,48 +519,45 @@ class Simulator:
             self._start_train(t, members)
 
     def _access(self, node: NodeState, t: int) -> None:
-        period = NRU_SLOT_BOUNDARY_US
-        boundary = ((t + period - 1) // period) * period
-        if node.cfg.tech == Tech.WIFI or boundary == t:
+        gap = -t % NRU_SLOT_BOUNDARY_US  # to the next boundary
+        if node.cfg.tech == Tech.WIFI or not gap:
             self._start_tx(t, (node,))
         else:
-            self._commit(node, t, boundary)
+            self._commit(node, t, t + gap)
 
     def _commit(self, node: NodeState, t: int, boundary: int) -> None:
         node.commit_at = t
         node.state = _COMMITTED
-        if boundary != self._fire_at:
-            self._fire_at = boundary
-            self._push(boundary, _EV_FIRE, ())
+        self._fire_at = boundary
         self._committed.append(node)
         if not self.cr_lbt_enabled:
             self._occ_start(t)  # reservation hold
 
     def _start_train(self, t: int, members: list[NodeState]) -> None:
         """A train's first pulse: its members hold the channel until their last pulse ends."""
-        n_pulses = min((self._fire_at - t) // CR_SLOT_US, CR_SLOT_COUNT)
+        n_pulses = _pulses(t)  # a frame starting in this sweep may have cleared the fire
         if not n_pulses:  # too close to the boundary: the members only listen
             return
         keys = tuple((node.idx, node.cfg.tech, node.cfg.pclass) for node in members)
-        tr = _Train(t, members, n_pulses, keys)
-        self._blocking_start(t, len(members))
+        self._blocking_start(t, not self._on_air)
         self._occ_start(t, len(members))
-        self._push(t + CR_SLOT_US // 2, _EV_PULSE_END, (tr,))
+        self._train = _Train(t, members, n_pulses, keys)
+        self._edge_at = t + CR_SLOT_US // 2
 
-    def _ev_pulse_end(self, t: int, tr: _Train) -> None:
-        """The train's listen check at its pulse end t, after settling it up to t."""
-        self._lazy = None
+    def _ev_pulse_end(self, t: int) -> None:
+        """The train's listen check or last pulse end at t, after settling it up to t."""
+        tr = self._train
         self._settle(tr, t)
-        # the members' listen half starts: energy besides their own holds aborts them
-        if self._blocking > len(tr.members):
-            for node in tr.members:
-                self._abort_commit(node)
-        elif tr.edges < 2 * tr.n_pulses:  # settle the pulses up to the last lazily
-            self._lazy = tr
-            self._push(t + (tr.n_pulses - 1) * CR_SLOT_US, _EV_PULSE_END, (tr,))
+        if not self._on_air and tr.edges < 2 * tr.n_pulses:  # passed its check
+            self._edge_at = t + (tr.n_pulses - 1) * CR_SLOT_US  # settle up to it lazily
             return
         # the check failed or the last pulse ended: the train's busy period ends
-        self._blocking_end(t, len(tr.members))
+        self._train, self._edge_at = None, _NEVER
+        if self._on_air:  # the members' listen half starts: a frame on air aborts them
+            for node in tr.members:
+                self._abort_commit(node)
+        else:
+            self._on_idle(t)
 
     def _settle(self, tr: _Train, t: int) -> None:
         """Settle the train's pulse edges up to t in closed form (see module docstring).
@@ -592,13 +583,14 @@ class Simulator:
 
     def _abort_commit(self, node: NodeState) -> None:
         self._committed.remove(node)
+        if not self._committed:
+            self._fire_at = _NEVER
         node.state = _DEFER
         # no BEB advance and no redraw; re-anchors at the next idle transition
 
     def _ev_fire(self, t: int) -> None:
         committed, self._committed = self._committed, []
-        if not committed:  # every commit to this boundary was aborted
-            return
+        self._fire_at = _NEVER
         if not self.cr_lbt_enabled:
             self._occ_end(t, len(committed))  # the reservation holds end
             for node in committed:
@@ -609,18 +601,19 @@ class Simulator:
 
     def _start_tx(self, t: int, nodes: Sequence[NodeState]) -> None:
         """Start the nodes' data frames at t, in order, as one blocking start."""
+        idle = not self._on_air and self._train is None
         for node in nodes:
             node.collided = False
             for other in self._on_air:
                 other.collided = node.collided = True
             self._on_air.append(node)
             node.state = _TX
-            self._push(t + node.cfg.mcot_us, _EV_TX_END, (node.idx, t))
+            self._seq += 1
+            heapq.heappush(self._heap, (t + node.cfg.mcot_us, self._seq, node.idx, t))
         self._occ_start(t, len(nodes))
-        self._blocking_start(t, len(nodes))
+        self._blocking_start(t, idle)
 
-    def _ev_tx_end(self, t: int, idx: int, start: int) -> None:
-        node = self.nodes[idx]
+    def _ev_tx_end(self, t: int, node: NodeState, start: int) -> None:
         dur = t - start
         if node.collided:
             node.stats.collisions += 1
@@ -637,4 +630,5 @@ class Simulator:
         node.state = _DEFER
         self._on_air.remove(node)
         self._occ_end(t)
-        self._blocking_end(t)
+        if not self._on_air and self._train is None:
+            self._on_idle(t)

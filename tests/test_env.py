@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+from collections import Counter
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -377,17 +378,24 @@ def test_dense_cr_signal_stream_is_pinned(mode):
     assert signal_stream_digest(mode) == SIGNAL_STREAM_PINS[mode]
 
 
-def test_a_dense_cr_step_pushes_few_heap_events(monkeypatch):
+def test_a_dense_cr_train_runs_at_most_two_pulse_end_events(monkeypatch):
     # the dense_cr_eval shape: 2+3+3 nodes, CR-LBT, aifsn actions. A CR pulse
-    # train is three heap events whatever its length, not one per pulse edge.
-    kinds = []
-    push = Simulator._push
+    # train is two pulse-end events whatever its length, its listen check and
+    # its last pulse end, not one per pulse edge.
+    started, ends = [], []
+    start_train, pulse_end = Simulator._start_train, Simulator._ev_pulse_end
 
-    def counting(sim, t, kind, payload):
-        kinds.append(kind)
-        push(sim, t, kind, payload)
+    def counted_start_train(sim, t, members):
+        start_train(sim, t, members)
+        if sim._train is not None:
+            started.append(sim._train)
 
-    monkeypatch.setattr(Simulator, "_push", counting)
+    def counted_pulse_end(sim, t):
+        ends.append(sim._train)
+        pulse_end(sim, t)
+
+    monkeypatch.setattr(Simulator, "_start_train", counted_start_train)
+    monkeypatch.setattr(Simulator, "_ev_pulse_end", counted_pulse_end)
     env = CoexEnv(coex_mix_preset(2, 3, 3), action_mode="aifsn", cr_lbt=True)
     env.reset(seed=1)
     for step in range(200):
@@ -396,7 +404,9 @@ def test_a_dense_cr_step_pushes_few_heap_events(monkeypatch):
         env.step(step % env.n_actions)
     half = CR_SLOT_US // 2
     assert sum(node.stats.pulse_us for node in env.sim.nodes) // half > 10 * 200
-    assert len(kinds) <= 8 * 200
+    per_train = Counter(map(id, ends))  # both lists keep the trains alive, so ids are unique
+    assert set(per_train) <= set(map(id, started))
+    assert max(per_train.values()) <= 2
 
 
 def test_steps_build_no_cr_pulse_outcomes(monkeypatch):

@@ -299,6 +299,26 @@ def test_cr_commit_without_pulses_listens_until_the_boundary():
     ]
 
 
+def test_a_frame_starting_beside_a_pulse_less_commit_aborts_it_and_starts_no_train():
+    # Both countdowns end at 484 us, 16 us before the boundary. The NR-U commit
+    # is too close for a pulse, so the Wi-Fi frame starting in the same sweep
+    # aborts it, leaving no commit and no boundary fire. Its pulse count is read
+    # from the commit time, so no train starts: the NR-U node commits again at
+    # 973 us, pulses once and sends at 1000 us.
+    cfg = [
+        ContenderConfig(Tech.NRU, PClass.PC1, aifsn=52, cw_min=0, cw_max=0, mcot_us=1000),
+        ContenderConfig(Tech.WIFI, PClass.PC3, aifsn=52, cw_min=0, cw_max=0, mcot_us=5),
+    ]
+    sim = Simulator(cfg, cr_lbt_enabled=True, seed=0)
+    out = sim.run_for(2_100)
+    assert [(o.node, o.kind, o.start_us, o.end_us) for o in out] == [
+        (1, TxKind.SUCCESS, 484, 489),
+        (1, TxKind.SUCCESS, 973, 978),
+        (0, TxKind.CR_PULSE, 973, 982),
+        (0, TxKind.SUCCESS, 1000, 2000),
+    ]
+
+
 def test_cr_cross_tech_tie_resolves_without_collision():
     # simultaneous Wi-Fi data start and NR-U commit: the gNB hears the frame
     # in its first listen interval and defers; the Wi-Fi frame succeeds.
@@ -792,12 +812,13 @@ def test_no_hold_starts_during_a_train_that_passed_its_check(monkeypatch, mcot_u
     blocking_start, pulse_end = Simulator._blocking_start, Simulator._ev_pulse_end
     passed = []
 
-    def checked_blocking_start(self, t, holds=1):
-        assert self._lazy is None
-        blocking_start(self, t, holds)
+    def checked_blocking_start(self, t, idle):
+        assert not (self._train is not None and self._train.edges > 1)
+        blocking_start(self, t, idle)
 
-    def counted_pulse_end(self, t, tr):
-        pulse_end(self, t, tr)
+    def counted_pulse_end(self, t):
+        tr = self._train
+        pulse_end(self, t)
         if t == tr.t0 + medium.CR_SLOT_US // 2 and tr.members[0].state == _COMMITTED:
             passed.append(tr)
 
@@ -895,7 +916,9 @@ def test_invariants_hold_under_random_mixes_and_assignments(run, cr_lbt, seed):
 def check_timer_and_on_air(sim):
     # the sweeps arm the access timer at the earliest running countdown, the
     # on-air list holds exactly the nodes with a data frame in flight, and the
-    # committed list exactly the committed nodes, each to the next boundary
+    # committed list exactly the committed nodes, each to the next boundary;
+    # a boundary fire is armed exactly while a commit is live, a pulse end
+    # exactly while a train runs, and a train past its check is alone
     assert sim._access_at == min(
         (node.pending_at for node in sim.nodes if node.state == _PENDING), default=_NEVER)
     assert sorted(node.idx for node in sim._on_air) == [
@@ -904,6 +927,12 @@ def check_timer_and_on_air(sim):
         node.idx for node in sim.nodes if node.state == _COMMITTED]
     for node in sim._committed:
         assert sim._fire_at - medium.NRU_SLOT_BOUNDARY_US <= node.commit_at < sim._fire_at
+    assert (sim._fire_at != _NEVER) == bool(sim._committed)
+    tr = sim._train
+    assert (sim._edge_at != _NEVER) == (tr is not None)
+    if tr is not None and tr.edges > 1:
+        assert not sim._on_air
+        assert [node.idx for node in sim._committed] == [node.idx for node in tr.members]
 
 
 @settings(max_examples=200, deadline=None)
@@ -919,7 +948,8 @@ def test_timer_and_on_air_list_hold_after_every_sweep(run, cr_lbt, seed):
             check_timer_and_on_air(sim)
         return call
 
-    for name in ("_on_idle", "_freeze_pending", "_ev_access"):
+    for name in ("_on_idle", "_freeze_pending", "_ev_access", "_ev_pulse_end", "_ev_fire",
+                 "_ev_tx_end"):
         setattr(sim, name, checked(getattr(sim, name)))
     for assignment in windows:
         sim.apply_mac_params(assignment)

@@ -6,23 +6,25 @@ Loads `git show REF:src/coexctl/medium.py` as a standalone module (the file
 imports nothing from the package) and runs N seeded random scenarios through
 both `Simulator`s. A scenario draws a contender mix, `cr_lbt` and a run of
 windows of random length, each preceded by a random assignment of `aifsn`,
-`cw_max` and `mcot_us` per (tech, class). The channel timings are the
-module's constants, except `CR_SLOT_COUNT`: each scenario draws it from
-{5, 27} and sets it on both modules. Both values meet the train invariants of
-the module docstring. With 27 pulses a commit's listen tail, from its last
-pulse end to the boundary, is shorter than 27 us, and 3000 scenarios at 27
-abort no commit there, only at a train's listen check or with no pulses; 5
-pulses leave a tail of up to 418 us, where frames and other trains abort many
-commits. `cw_min` stays at each node's starting value, as in the
-environment's cw mode. A drawn entry with a count of k becomes k contender
+`cw_max` and `mcot_us` per (tech, class). About half the `mcot_us` values, in
+the mix and in the assignments, are short, 5 to 1000 us, and the rest are
+multiples of 500 us up to 4000; a short frame can end before the next boundary,
+so a boundary fire whose commits were all aborted can meet an idle channel. The
+channel timings are the module's constants, except `CR_SLOT_COUNT`: each
+scenario draws it from {5, 27} and sets it on both modules. Both values meet
+the train invariants of the module docstring. With 27 pulses a commit's listen
+tail, from its last pulse end to the boundary, is shorter than 27 us, and 3000
+scenarios at 27 abort one commit there, the others at a train's listen check or
+with no pulses; 5 pulses leave a tail of up to 418 us, where frames and other
+trains abort many commits. `cw_min` stays at each node's starting value, as in
+the environment's cw mode. A drawn entry with a count of k becomes k contender
 configs, one per node. Both simulators are built with the working tree's
 arguments, so an older revision's extra parameters keep their defaults. After
 every window it compares the outcomes, `clock`, `occupied_us_at()`, every
 node's `NodeStats`, its backoff state, its life-cycle `state`, `pending_at` and
 `anchor`, and the access timer `_access_at`, so a stale timer shows before it
-changes an outcome. It prints the first mismatch and
-exits 1. A refactor that must not change the simulator's results reports 0
-mismatches.
+changes an outcome. It prints the first mismatch and exits 1. A refactor that
+must not change the simulator's results reports 0 mismatches.
 """
 
 from __future__ import annotations
@@ -53,13 +55,19 @@ def load_ref(ref: str):
     return module
 
 
+def draw_mcot(rng: np.random.Generator) -> int:
+    if rng.random() < 0.5:
+        return int(rng.integers(5, 1001))  # short: can end before the next boundary
+    return 500 * int(rng.integers(1, 9))
+
+
 def draw_scenario(rng: np.random.Generator) -> dict:
     keys = [(tech, pclass) for tech in ("NRU", "WIFI") for pclass in ("PC1", "PC3")]
     mix = []
     for _ in range(int(rng.integers(1, 6))):
         lo, hi = sorted(int(v) for v in rng.choice(POW2M1[:6], 2))
         mix.append({"key": keys[int(rng.integers(len(keys)))], "aifsn": int(rng.integers(1, 8)),
-                    "cw_min": lo, "cw_max": hi, "mcot_us": 500 * int(rng.integers(1, 9)),
+                    "cw_min": lo, "cw_max": hi, "mcot_us": draw_mcot(rng),
                     "count": int(rng.integers(1, 4))})
     windows = []
     for _ in range(int(rng.integers(1, 13))):
@@ -71,7 +79,7 @@ def draw_scenario(rng: np.random.Generator) -> dict:
             floor = max(c["cw_min"] for c in members)
             assignment[key] = {"aifsn": int(rng.integers(1, 8)),
                                "cw_max": int(rng.choice([v for v in POW2M1 if v >= floor])),
-                               "mcot_us": 500 * int(rng.integers(1, 9))}
+                               "mcot_us": draw_mcot(rng)}
         windows.append((assignment, int(rng.integers(1, 5001))))
     return {
         "mix": mix,
