@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .env import ACTION_GRIDS
 from .harness import (
@@ -23,25 +24,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--action-mode", choices=list(ACTION_GRIDS), help="controlled parameter")
     p.add_argument("--cr-lbt", choices=["on", "off"], help="collision-resolution LBT")
     p.add_argument("--scaling", choices=["on", "off"], help="violation scaling pipeline")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="out_dir", help="output directory")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's values (or the defaults), then each flag that was
+    given: a flag's dest is the name of the field it sets."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "episodes", None) is not None:
-        cfg.episodes = args.episodes
-    if getattr(args, "eval_episodes", None) is not None:
-        cfg.eval_episodes = args.eval_episodes
-    if args.action_mode is not None:
-        cfg.action_mode = args.action_mode
-    if args.cr_lbt is not None:
-        cfg.cr_lbt = args.cr_lbt == "on"
-    if args.scaling is not None:
-        cfg.scaling = args.scaling == "on"
-    if args.out is not None:
-        cfg.out_dir = args.out
+    for f in fields(cfg):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            setattr(cfg, f.name, value == "on" if isinstance(f.default, bool) else value)
     return cfg
 
 

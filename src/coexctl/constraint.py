@@ -16,14 +16,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .metrics import ema_update
+from .metrics import StepMetrics, ema_update
 
 
-def relative_violation(delay_smooth_us: float, d_th_us: float) -> float:
+def relative_violation(delay_us: float, d_th_us: float) -> float:
     """Signed relative slack: positive when the delay constraint is satisfied."""
     if d_th_us <= 0:
         raise ValueError("d_th_us must be > 0")
-    return (d_th_us - delay_smooth_us) / d_th_us
+    return (d_th_us - delay_us) / d_th_us
 
 
 def scale_violation(v: float, kappa: float) -> float:
@@ -143,17 +143,20 @@ class DualController(DualConfig):
 
 
 def constraint_signals(
-    delay_smooth_us: float, d_th_us: float, kappa: float, scaling: bool = True
+    step: StepMetrics, d_th_us: float, kappa: float, scaling: bool
 ) -> tuple[float, float, float]:
     """One step of the constraint pipeline: (v, v_for_dual, cost_for_learner).
 
-    With scaling on, v_for_dual is tanh(v/kappa) and the learner cost is its
-    negative part; the dual consumes the bit-identical scaled value whose
-    negative part the learner consumed. With scaling off (the ablation arm),
-    the raw unbounded signed violation goes to both sides unsmoothed.
+    With scaling on, v is the violation of the step's smoothed delay,
+    v_for_dual is tanh(v/kappa) and the learner cost is its negative part;
+    the dual consumes the bit-identical scaled value whose negative part the
+    learner consumed. With scaling off (the ablation arm), v is the violation
+    of the unsmoothed instantaneous delay, and this raw signal, unbounded in
+    both directions, goes to both sides.
     """
-    v = relative_violation(delay_smooth_us, d_th_us)
     if scaling:
+        v = relative_violation(step.pc1_delay_smooth_us, d_th_us)
         v_scaled = scale_violation(v, kappa)
         return v, v_scaled, learner_cost(v_scaled)
+    v = relative_violation(step.pc1_delay_inst_us, d_th_us)
     return v, v, v

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import subprocess
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import ClassVar, Optional
 
@@ -24,8 +25,8 @@ from . import __version__
 from .constraint import DualConfig
 from .env import ACTION_GRIDS, D_TH_US, CoexEnv, coex_mix_preset
 from .learner import (
-    EvalRollout,
     LearnerConfig,
+    Rollout,
     StepLog,
     blas_threads_for,
     greedy_rollout,
@@ -122,13 +123,15 @@ def _is_int(value, lo: Optional[int] = None) -> bool:
 
 
 def _well_typed(value, default) -> bool:
-    """Whether value fits a field whose default is default; a float field takes an int."""
+    """Whether value fits a field whose default is default. A float field takes
+    an int or a float within the finite float range: not the NaN or Infinity
+    that json.load accepts, nor an int too large to convert to a float."""
     if isinstance(default, bool):
         return isinstance(value, bool)
     if isinstance(default, int):
         return _is_int(value)
     if isinstance(default, float):
-        return _is_int(value) or isinstance(value, float)
+        return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
     if isinstance(default, tuple):  # hidden_layers
         return isinstance(value, tuple) and all(map(_is_int, value))
     return isinstance(value, type(default))
@@ -308,17 +311,6 @@ def read_report(path: str) -> EvalReport:
     return EvalReport(nodes=list(per_node[first]), **per_node, **scalars)
 
 
-def nearest_rank_percentile(samples: list[float], pct: float) -> float:
-    """Nearest-rank percentile: the ceil(pct*n)-th smallest sample."""
-    if not samples:
-        raise ValueError("no samples")
-    if not 0 < pct <= 100:
-        raise ValueError("pct must be in (0, 100]")
-    ordered = sorted(samples)
-    rank = int(np.ceil(pct / 100.0 * len(ordered)))
-    return ordered[rank - 1]
-
-
 def node_display_label(sim_name: str, all_names: list[str]) -> str:
     """Map simulator node ids to display row labels (gNB PC1, AP PC3)."""
     tech, pclass, idx = sim_name.split("_")
@@ -330,9 +322,10 @@ def node_display_label(sim_name: str, all_names: list[str]) -> str:
     return label
 
 
-def report_from_rollout(rollout: EvalRollout, d_th_us: float) -> EvalReport:
+def report_from_rollout(rollout: Rollout, d_th_us: float) -> EvalReport:
     """The report of a rollout: each node's NodeStats ratios over the whole
-    rollout under its display label, and aggregates over the step log."""
+    rollout under its display label, and aggregates over the step log. The
+    p95 is the nearest rank, the ceil(0.95 n)-th smallest of the n delays."""
     names = list(rollout.stats)
     stats = {node_display_label(n, names): s for n, s in rollout.stats.items()}
     delays = [entry.delay_smooth_us for entry in rollout.log]
@@ -341,7 +334,7 @@ def report_from_rollout(rollout: EvalRollout, d_th_us: float) -> EvalReport:
         collision_probability={label: s.collision_probability() for label, s in stats.items()},
         airtime_efficiency={label: s.airtime_efficiency() for label, s in stats.items()},
         mean_pc1_delay_ms=float(np.mean(delays)) / 1000.0,
-        p95_pc1_delay_ms=nearest_rank_percentile(delays, 95.0) / 1000.0,
+        p95_pc1_delay_ms=float(np.percentile(delays, 95, method="inverted_cdf")) / 1000.0,
         mean_jfi=float(np.mean([entry.jfi for entry in rollout.log])),
         violation_fraction=sum(d > d_th_us for d in delays) / len(delays),
         d_th_ms=d_th_us / 1000.0,

@@ -272,6 +272,9 @@ class LearnerConfig:
             ("hidden_layers", all(width >= 1 for width in self.hidden_layers),
              "widths >= 1"),
             ("target_sync_interval", self.target_sync_interval >= 1, ">= 1"),
+            # a larger batch never fits in the buffer, so no step would train
+            ("batch_size", self.batch_size <= self.buffer_capacity,
+             f"<= buffer_capacity ({self.buffer_capacity})"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -518,10 +521,16 @@ class StepLog(NamedTuple):
     loss: float
 
 
-@dataclass
-class TrainResult:
-    learner: QLearner
+class Rollout(NamedTuple):
+    """A rollout's step log and each node's cumulative NodeStats at its end,
+    keyed by simulator node name, with the learner a training rollout trained.
+    The first episode's seeded reset builds a fresh medium that later episodes
+    keep, so the counters cover the whole rollout; harness.report_from_rollout
+    turns them and the log into a report."""
+
     log: list
+    stats: dict[str, NodeStats]
+    learner: Optional[QLearner] = None
 
 
 def _rollout(
@@ -534,7 +543,7 @@ def _rollout(
     learner: Optional[QLearner] = None,
     hard_episode_resets: bool = False,
     log_hook: Optional[Callable[[StepLog], None]] = None,
-) -> list[StepLog]:
+) -> Rollout:
     """The per-step control loop of training, evaluation and the baseline.
 
     After each reset and each dual feed the loop builds the policy input once,
@@ -543,7 +552,7 @@ def _rollout(
     one gradient step; otherwise lambda carries over between episodes.
     act(obs, epsilon) returns the action, or None to keep the MAC parameters.
     Without a dual, a default DualController that is never fed logs the
-    pipeline at its kappa, with lambda and v_ema at 0. Returns the step log.
+    pipeline at its kappa, with lambda and v_ema at 0.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
@@ -564,10 +573,7 @@ def _rollout(
             action = act(obs, eps)
             info = env.step(action)
             lam = dual.lam
-            # scaled arm: smoothed delay; raw arm: the unsmoothed instantaneous
-            # delay, unbounded in both directions
-            delay_signal = info.pc1_delay_smooth_us if scaling else info.pc1_delay_inst_us
-            v, v_dual, cost = constraint_signals(delay_signal, env.d_th_us, kappa, scaling)
+            v, v_dual, cost = constraint_signals(info, env.d_th_us, kappa, scaling)
             reward = assemble_reward(info.jfi, lam, cost)
             if fed:
                 dual.feed(v_dual, step, smooth=scaling)
@@ -590,7 +596,7 @@ def _rollout(
             if log_hook is not None:
                 log_hook(entry)
             obs = next_obs
-    return log
+    return Rollout(log, dict(zip(env.sim.node_names(), env.sim.stats_snapshot())), learner)
 
 
 def run_training(
@@ -603,7 +609,7 @@ def run_training(
     episodes: int,
     log_hook: Optional[Callable[[StepLog], None]] = None,
     hard_episode_resets: bool = False,
-) -> TrainResult:
+) -> Rollout:
     """Train a fresh learner over the constrained environment.
 
     Each step acts epsilon-greedily on the augmented state, assembles the
@@ -615,20 +621,8 @@ def run_training(
     """
     learner = QLearner(env.observation_dim, env.n_actions, config, seed=seed)
     blas_threads(blas_threads_for(learner.online.dims, config.batch_size))
-    log = _rollout(env, dual, episodes, seed, scaling, learner.act, learner=learner,
-                   hard_episode_resets=hard_episode_resets, log_hook=log_hook)
-    return TrainResult(learner=learner, log=log)
-
-
-@dataclass
-class EvalRollout:
-    """A greedy rollout's step log, and each node's cumulative NodeStats at its
-    end keyed by simulator node name. The first episode's seeded reset builds
-    a fresh medium that later episodes keep, so the counters cover the whole
-    rollout; harness.report_from_rollout turns them and the log into a report."""
-
-    log: list
-    stats: dict[str, NodeStats]
+    return _rollout(env, dual, episodes, seed, scaling, learner.act, learner=learner,
+                    hard_episode_resets=hard_episode_resets, log_hook=log_hook)
 
 
 def greedy_rollout(
@@ -638,7 +632,7 @@ def greedy_rollout(
     episodes: int,
     seed: int,
     scaling: bool = True,
-) -> EvalRollout:
+) -> Rollout:
     """Greedy execution (epsilon = 0) with online dual updates and no learning.
 
     The policy reads the state augmented with the dual's current lambda over
@@ -653,5 +647,4 @@ def greedy_rollout(
     if q_net is not None:
         blas_threads(blas_threads_for(q_net.dims, 1))
 
-    log = _rollout(env, dual, episodes, seed, scaling, act)
-    return EvalRollout(log=log, stats=dict(zip(env.sim.node_names(), env.sim.stats_snapshot())))
+    return _rollout(env, dual, episodes, seed, scaling, act)

@@ -62,6 +62,13 @@ after, as an access can freeze later nodes). run_for serves the earliest of the
 four, at equal times in the order it states. The channel is held while a frame
 is on air or a train runs; the nodes on air are kept in a list, which a frame
 start marks as collided without a sweep.
+
+An AIFSN change (apply_mac_params) updates each node's cached AIFS at once,
+also mid-countdown: a countdown's armed due time keeps the AIFS it was armed
+with at the idle transition, but a later freeze counts the slots elapsed since
+the anchor from the end of the new AIFS. So a larger new AIFSN leaves a frozen
+node more backoff than its armed due time implied, a smaller one less; a
+countdown that is not frozen ends at its armed due time.
 """
 
 from __future__ import annotations
@@ -593,9 +600,8 @@ class Simulator:
         self._fire_at = _NEVER
         if not self.cr_lbt_enabled:
             self._occ_end(t, len(committed))  # the reservation holds end
-            for node in committed:
-                if t > node.commit_at:
-                    self._emit(node, TxKind.RS, node.commit_at, t)
+            for node in committed:  # each committed before t: its gap was nonzero
+                self._emit(node, TxKind.RS, node.commit_at, t)
                 node.stats.reserve_us += t - node.commit_at
         self._start_tx(t, committed)
 

@@ -35,8 +35,10 @@ window_counters = operator.attrgetter("successes", "collisions", "success_air_us
 def jain_index(airtimes: Sequence[float]) -> float:
     """Jain's fairness index (sum x)^2 / (n * sum x^2).
 
-    An all-zero vector is vacuously fair and returns 1.0. Values are divided
-    by the largest one first so that squaring tiny airtimes cannot underflow.
+    An all-zero vector, a window that delivered nothing, scores the 1/n floor
+    rather than a vacuous 1.0, so a collision-collapsed channel cannot earn
+    ghost fairness. Values are divided by the largest one first so that
+    squaring tiny airtimes cannot underflow.
     Both sums add left to right from 0.0, so every CPython gives the same bits
     (builtin sum() of floats is compensated from 3.12 on).
     """
@@ -44,7 +46,7 @@ def jain_index(airtimes: Sequence[float]) -> float:
         raise ValueError("jain_index requires a non-empty list")
     peak = float(max(airtimes))
     if peak == 0.0:
-        return 1.0
+        return 1.0 / len(airtimes)
     total = sq = 0.0
     for x in airtimes:
         x = float(x) / peak
@@ -156,12 +158,10 @@ def step_metrics(
         delay_inst = prev.pc1_delay_inst_us
     delay_smooth = ema_update(prev.pc1_delay_smooth_us, delay_inst, ALPHA_DELAY)
 
-    # Fairness over within-window success airtime. A window that delivered
-    # nothing scores the 1/n floor rather than a vacuous or stale value, so a
-    # collision-collapsed channel cannot keep earning ghost fairness. The
-    # smoothed per-node shares (airtime_ema) are carried, unread, for scoring
-    # f0 on them (ROADMAP item 2).
-    jfi = jain_index(airtimes) if any(airtimes) else 1.0 / len(airtimes)
+    # Fairness over within-window success airtime. The smoothed per-node
+    # shares (airtime_ema) are carried, unread, for scoring f0 on them
+    # (ROADMAP item 2).
+    jfi = jain_index(airtimes)
 
     util = min(busy_us / window_us, 1.0)
 

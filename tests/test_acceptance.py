@@ -1,17 +1,20 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
-criterion. Criteria 7 and 8 share two 500-episode desk-scale training runs,
-which run side by side in two worker processes and dominate the runtime (over
-a minute); everything else is seconds.
+criterion. Criteria 7 and 8 share two desk-scale training runs on the learner
+and episode count of configs/desk_cw.json (500 episodes), which run side by
+side in two worker processes and dominate the runtime (over a minute);
+everything else is seconds.
 """
 
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR
 from coexctl.constraint import (
     DualController,
     learner_cost,
@@ -19,7 +22,7 @@ from coexctl.constraint import (
     scale_violation,
 )
 from coexctl.env import D_TH_US, CoexEnv, single_pc1_preset, coex_mix_preset
-from coexctl.harness import report_from_rollout
+from coexctl.harness import load_config, report_from_rollout
 from coexctl.learner import (
     LearnerConfig,
     MLP,
@@ -332,19 +335,16 @@ def test_criterion_6_learner_oracles():
 # 7 & 8. desk-scale training effect and scaling ablation (shared runs)
 
 
-DESK = LearnerConfig(
-    hidden_layers=(128, 128), batch_size=64, buffer_capacity=50_000,
-    learning_rate=5e-4, target_sync_interval=250,
-)
+DESK = load_config(os.path.join(CONFIG_DIR, "desk_cw.json"))
 TRAIN_SEED = 0
 EVAL_SEED = 1000
 
 
 def desk_training_rollout(scaling: bool):
-    """One 500-episode desk training and its greedy evaluation."""
+    """One desk training and its greedy evaluation."""
     env = CoexEnv(coex_mix_preset(), action_mode="cw")
-    result = run_training(env, DualController(), DESK, seed=TRAIN_SEED,
-                          scaling=scaling, episodes=500)
+    result = run_training(env, DualController(), DESK.learner, seed=TRAIN_SEED,
+                          scaling=scaling, episodes=DESK.episodes)
     eval_env = CoexEnv(coex_mix_preset(), action_mode="cw")
     return greedy_rollout(
         eval_env, result.learner.online, DualController(), episodes=50,
@@ -372,7 +372,7 @@ def test_criterion_7_desk_scale_training_effect(desk_scale_runs):
     a_ok = trained.violation_fraction < baseline.violation_fraction
     jfi_t, jfi_b = trained.mean_jfi, baseline.mean_jfi
     b_ok = jfi_t >= 0.9 * jfi_b
-    _report(7, "500-episode CW training lowers the violation fraction below"
+    _report(7, f"{DESK.episodes}-episode CW training lowers the violation fraction below"
                " baseline and keeps mean JFI >= 0.9x baseline",
             a_ok and b_ok,
             f"violations {trained.violation_fraction:.3f} vs baseline"

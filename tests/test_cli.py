@@ -54,6 +54,13 @@ def test_flag_overrides_config(tmp_path):
     assert os.path.exists(os.path.join(out2, "baseline_report.txt"))
     log = harness.read_step_log(os.path.join(out2, "baseline_log.csv"))
     assert [row["episode"] for row in log[::EPISODE_STEPS]] == [0, 1]
+    # the train-only --episodes, --action-mode and --scaling reach the run too
+    out3 = str(tmp_path / "out3")
+    assert main(["train", "--config", cfg, "--out", out3, "--episodes", "2",
+                 "--action-mode", "aifsn", "--scaling", "off"]) == 0
+    config = json.load(open(os.path.join(out3, "manifest.json")))["config"]
+    assert (config["episodes"], config["action_mode"], config["scaling"]) == (2, "aifsn", False)
+    assert len(harness.read_step_log(os.path.join(out3, "train_log.csv"))) == 2 * EPISODE_STEPS
 
 
 def test_trace_subcommand(tmp_path):

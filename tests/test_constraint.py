@@ -1,6 +1,7 @@
 """Constraint pipeline: violation scaling, negative-only cost, dual dynamics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from coexctl.constraint import (
     sample_lambda,
     scale_violation,
 )
+from coexctl.metrics import StepMetrics
 
 TOL = 1e-12
 
@@ -180,8 +182,15 @@ def test_augment_state_rejects_out_of_range():
 # pipeline consistency
 
 
+def step_with_delays(inst_us: float, smooth_us: float) -> StepMetrics:
+    return replace(StepMetrics.initial(1), pc1_delay_inst_us=inst_us,
+                   pc1_delay_smooth_us=smooth_us)
+
+
 def test_constraint_signals_scaled_consistency():
-    v, v_dual, cost = constraint_signals(3000.0, 2000.0, 0.5, scaling=True)
+    # the scaled arm reads the smoothed delay
+    v, v_dual, cost = constraint_signals(step_with_delays(9000.0, 3000.0), 2000.0, 0.5,
+                                         scaling=True)
     assert v == pytest.approx(-0.5, abs=TOL)
     assert v_dual == pytest.approx(math.tanh(-1.0), abs=TOL)
     assert cost == min(0.0, v_dual)
@@ -191,5 +200,7 @@ def test_constraint_signals_scaled_consistency():
 
 
 def test_constraint_signals_raw_arm():
-    v, v_dual, cost = constraint_signals(9000.0, 2000.0, 0.5, scaling=False)
+    # the raw arm reads the unsmoothed instantaneous delay
+    v, v_dual, cost = constraint_signals(step_with_delays(9000.0, 3000.0), 2000.0, 0.5,
+                                         scaling=False)
     assert v == v_dual == cost == pytest.approx(-3.5, abs=TOL)

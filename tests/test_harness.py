@@ -27,15 +27,16 @@ from coexctl.harness import (
     code_version,
     config_from_dict,
     load_config,
-    nearest_rank_percentile,
     read_report,
     read_step_log,
+    report_from_rollout,
     write_step_log,
 )
 from coexctl.cli import main
 from coexctl.constraint import DualConfig, DualController
 from coexctl.env import EPISODE_STEPS
-from coexctl.learner import LearnerConfig, StepLog, blas_threads
+from coexctl.learner import LearnerConfig, Rollout, StepLog, blas_threads
+from coexctl.medium import NodeStats
 
 
 def smoke_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -118,6 +119,10 @@ def test_invalid_value_names_constraint(tmp_path):
     ({"learner": 5}, "learner"),
     ({"counts": {"gnb_pc1": "2"}}, "counts"),
     ({"dual": [1]}, "dual"),
+    # json.load reads NaN and Infinity; a float field takes only a finite number
+    ({"d_th_us": float("nan")}, "d_th_us"),
+    ({"learner": {"learning_rate": float("inf")}}, "learning_rate"),
+    ([1], "JSON object"),
 ])
 def test_wrong_typed_value_rejected_by_name(tmp_path, capsys, data, key):
     path = tmp_path / "bad.json"
@@ -130,7 +135,9 @@ def test_wrong_typed_value_rejected_by_name(tmp_path, capsys, data, key):
 
 @pytest.mark.parametrize("key,value", [
     ("episodes", 2.5), ("episodes", "5"), ("seed", True), ("d_th_us", True),
-    ("cr_lbt", "no"), ("learner.batch_size", 64.0),
+    ("cr_lbt", "no"), ("learner.batch_size", 64.0), ("d_th_us", float("nan")),
+    ("d_th_us", float("-inf")), ("learner.learning_rate", float("inf")),
+    pytest.param("d_th_us", 10**400, id="d_th_us-10**400"),  # beyond the float range
 ])
 def test_validate_refuses_a_wrong_typed_value_set_in_code_by_name(tmp_path, key, value):
     cfg = smoke_config(tmp_path)
@@ -168,6 +175,9 @@ def test_invalid_dual_settings_rejected_before_any_run(tmp_path, capsys, dual):
 @pytest.mark.parametrize("data,key", [
     ({"seed": -1}, "seed"),
     ({"counts": {"gnb_pc1": 0, "gnb_pc3": 0, "ap_pc3": 0}}, "counts"),
+    ({"episodes": 0}, "episodes"),
+    ({"d_th_us": 0.0}, "d_th_us"),
+    ({"counts": {"gnb_pc9": 1}}, "gnb_pc9"),
 ])
 def test_negative_seed_and_empty_coex_mix_are_refused_by_name(tmp_path, capsys, data, key):
     out_dir = tmp_path / "out"
@@ -200,11 +210,13 @@ def test_coex_mix_is_the_only_scenario(scenario):
         config_from_dict({"scenario": scenario})
 
 
-# one out-of-range value for every learner and dual field
+# one out-of-range value for every learner and dual field, and a batch that
+# the default buffer can never hold
 OUT_OF_RANGE = [
     ("learner", "buffer_capacity", 0),
     ("learner", "learning_rate", 0.0),
     ("learner", "batch_size", 0),
+    ("learner", "batch_size", LearnerConfig().buffer_capacity + 1),
     ("learner", "hidden_layers", [0]),
     ("learner", "target_sync_interval", 0),
     ("dual", "lambda_max", -1.0),
@@ -731,12 +743,14 @@ def test_compare_needs_two_reports(tmp_path):
 # percentile and trace
 
 
-def test_nearest_rank_percentile():
-    assert nearest_rank_percentile(list(range(1, 101)), 95.0) == 95
-    assert nearest_rank_percentile([5.0], 95.0) == 5.0
-    assert nearest_rank_percentile([1.0, 2.0], 50.0) == 1.0
-    with pytest.raises(ValueError):
-        nearest_rank_percentile([], 95.0)
+def test_report_p95_is_the_nearest_rank():
+    # the ceil(0.95 n)-th smallest delay, a sample itself, never an interpolation
+    blank = StepLog._make([0] * len(StepLog._fields))
+    for n in (1, 2, 19, 20, 21, 100, 1001):
+        delays = np.random.default_rng(n).permutation(np.arange(1, n + 1) * 1000.0)
+        log = [blank._replace(delay_smooth_us=float(d)) for d in delays]
+        report = report_from_rollout(Rollout(log, {"nru_pc1_0": NodeStats()}), 2000.0)
+        assert report.p95_pc1_delay_ms == -(-95 * n // 100), n
 
 
 # The trace is integers only, so these digests do not depend on the BLAS build.

@@ -611,12 +611,15 @@ FULL_HEADER = {"version": 1, "obs_dim": 3, "n_actions": 2, "hidden_layers": [],
 
 
 @pytest.mark.parametrize("blob,match", [
+    pytest.param(b"PK\x03\x04", "not a policy artifact", id="no_magic"),
     pytest.param(b"CXQP", "prefix", id="magic_only"),
     pytest.param(b"CXQP\x05\x00", "prefix", id="short_prefix"),
     pytest.param(framed([1, 2]), "JSON object", id="list_header"),
     pytest.param(framed("version"), "JSON object", id="string_header"),
     *(pytest.param(framed({k: v for k, v in FULL_HEADER.items() if k != key}), f"lacks {key}",
                    id=f"no_{key}") for key in FULL_HEADER),
+    pytest.param(framed({**FULL_HEADER, "version": 2}), "unsupported artifact version 2",
+                 id="version_2"),
 ])
 def test_load_policy_refuses_malformed_files_with_value_error(tmp_path, blob, match):
     path = tmp_path / "policy.bin"

@@ -34,8 +34,9 @@ def test_jain_empty_rejected():
         jain_index([])
 
 
-def test_jain_all_zero_is_vacuously_fair():
-    assert jain_index([0, 0, 0]) == 1.0
+def test_jain_all_zero_scores_the_1_over_n_floor():
+    assert jain_index([0, 0, 0]) == 1.0 / 3
+    assert jain_index([0.0]) == 1.0
 
 
 # Each x is 0 or >= 1e-300, so c * x stays a normal float: a subnormal x such
