@@ -141,9 +141,6 @@ class CoexEnv:
         return augment_state(base, lam, lambda_max)
 
     def _apply_action(self, index: int) -> None:
-        # applying an assignment twice changes nothing, so a repeat is skipped
-        if index == self._applied:
-            return
         # refused explicitly, since a list would read -1 as its last row
         if not 0 <= index < len(self.actions):
             raise ValueError(f"action index {index} out of range [0, {len(self.actions)})")
@@ -153,30 +150,24 @@ class CoexEnv:
     def step(self, action: Optional[int]) -> met.StepMetrics:
         """One control step, returning the window's StepMetrics; action None
         keeps the current MAC parameters (the fixed-parameter baseline)."""
-        if self.sim is None or self._metrics is None:
+        sim = self.sim
+        if sim is None or self._metrics is None:
             raise RuntimeError("reset() must be called before step()")
         if self._step_count >= EPISODE_STEPS:
             raise RuntimeError("episode is done; call reset()")
-        if action is not None:
+        # applying an assignment twice changes nothing, so a repeat is skipped
+        if action is not None and action != self._applied:
             self._apply_action(action)
-        sim = self.sim
         sim.run_for(STEP_DURATION_US)
         counts = list(map(met.window_counters, self._live))
         occupied = sim.occupied_us_at()
         busy = occupied - self._prev_occupied
         self._prev_occupied = occupied
-        pending_age = max(
-            (sim.clock - sim.nodes[i].hol_since_us for i in self._pc1), default=0
-        )
+        clock, nodes = sim.clock, sim.nodes
+        pending_age = max([clock - nodes[i].hol_since_us for i in self._pc1], default=0)
         self._metrics = met.step_metrics(
-            counts,
-            self._prev_counts,
-            self._pc1,
-            self._metrics,
-            STEP_DURATION_US,
-            busy,
-            d_th_us=self.d_th_us,
-            pc1_pending_age_us=pending_age,
+            counts, self._prev_counts, self._pc1, self._metrics, STEP_DURATION_US, busy,
+            self.d_th_us, pending_age,
         )
         self._prev_counts = counts
         self._step_count += 1

@@ -133,8 +133,17 @@ class MLP:
         return bufs
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        for w, b, h in zip(self.weights[:-1], self.biases[:-1], self._hidden("forward", len(x))):
+        """Outputs for a batch of inputs, one a row, or for one input as a 1-D
+        vector. One input runs through the same layers as a vector, with fresh
+        hidden arrays, and its output has the bits of row 0 of a 1-row batch; a
+        batch's hidden layers reuse scratch arrays. The output is fresh either way."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            hidden = [None] * (len(self.dims) - 2)
+        else:
+            x = np.atleast_2d(x)
+            hidden = self._hidden("forward", len(x))
+        for w, b, h in zip(self.weights[:-1], self.biases[:-1], hidden):
             x = _dense(x, w, b, relu=True, out=h)
         return _dense(x, self.weights[-1], self.biases[-1], relu=False)
 
@@ -347,8 +356,11 @@ class QLearner:
         self.rng = np.random.default_rng(seed)
         dims = [obs_dim, *config.hidden_layers, n_actions]
         self.online = MLP(dims, self.rng)
-        self.target = MLP(dims, self.rng)
-        self.sync_target()
+        # the target starts as a copy of the online network, and the generator
+        # skips the initialisation a second MLP would draw (uniform takes one
+        # 64-bit word per value), so every later draw is as before
+        self.target = MLP.over(dims, self.online.flat.copy())
+        self.rng.bit_generator.advance(self.online.flat.size)
         self.optimizer = Adam(self.online.flat, lr=config.learning_rate)
         self.buffer = ReplayBuffer(config.buffer_capacity, obs_dim)
         self.train_steps = 0
@@ -357,7 +369,8 @@ class QLearner:
         np.copyto(self.target.flat, self.online.flat)
 
     def q_values(self, obs: np.ndarray) -> np.ndarray:
-        return self.online.forward(obs)[0]
+        """The online network's Q-values of one observation, a 1-D vector."""
+        return self.online.forward(obs)
 
     def act(self, obs: np.ndarray, epsilon: float) -> int:
         return select_action(self.q_values(obs), epsilon, self.rng)
@@ -556,41 +569,40 @@ def _rollout(
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    total_steps = episodes * env.episode_steps
+    steps = env.episode_steps
+    total_steps = episodes * steps
     fed = dual is not None
     if not fed:
         dual = DualController()
-    kappa, lambda_max = dual.kappa, dual.lambda_max
+    kappa, lambda_max, d_th_us = dual.kappa, dual.lambda_max, env.d_th_us
+    # bound once: the loop calls each of them every step
+    env_step, observe, feed = env.step, env.observe, dual.feed
     log: list[StepLog] = []
     for episode in range(episodes):
         if learner is not None:
             dual.reset(sample_lambda(learner.rng, lambda_max))
         # a seeded reset builds a fresh medium; otherwise the medium persists
         env.reset(seed=seed + episode if episode == 0 or hard_episode_resets else None)
-        obs = env.observe(dual.lam, lambda_max)
-        for step in range(env.episode_steps):
+        obs = observe(dual.lam, lambda_max)
+        for step in range(steps):
             eps = epsilon_at(len(log), total_steps) if learner is not None else 0.0
             action = act(obs, eps)
-            info = env.step(action)
+            info = env_step(action)
             lam = dual.lam
-            v, v_dual, cost = constraint_signals(info, env.d_th_us, kappa, scaling)
+            v, v_dual, cost = constraint_signals(info, d_th_us, kappa, scaling)
             reward = assemble_reward(info.jfi, lam, cost)
             if fed:
-                dual.feed(v_dual, step, smooth=scaling)
-            next_obs = env.observe(dual.lam, lambda_max)
+                feed(v_dual, step, scaling)
+            next_obs = observe(dual.lam, lambda_max)
             loss = None
             if learner is not None:
-                learner.buffer.push(obs, action, reward, next_obs,
-                                    step == env.episode_steps - 1)
+                learner.buffer.push(obs, action, reward, next_obs, step == steps - 1)
                 loss = learner.train_step()
             entry = StepLog(
-                episode=episode, step=step, lam=lam, v=v, v_scaled=v_dual,
-                v_ema=dual.v_ema, cost=cost, jfi=info.jfi,
-                delay_inst_us=info.pc1_delay_inst_us, delay_smooth_us=info.pc1_delay_smooth_us,
-                collision_rate=info.coll_rate_agg, airtime_util=info.airtime_util,
-                violation_rate=info.violation_rate, reward=reward, epsilon=eps,
-                action=action if action is not None else -1,
-                loss=loss if loss is not None else 0.0,
+                episode, step, lam, v, v_dual, dual.v_ema, cost, info.jfi,
+                info.pc1_delay_inst_us, info.pc1_delay_smooth_us, info.coll_rate_agg,
+                info.airtime_util, info.violation_rate, reward, eps,
+                -1 if action is None else action, 0.0 if loss is None else loss,
             )
             log.append(entry)
             if log_hook is not None:
@@ -641,10 +653,14 @@ def greedy_rollout(
     0. A q_net sets the BLAS thread count for its shape at batch 1
     (blas_threads_for).
     """
-    def act(obs: np.ndarray, eps: float) -> Optional[int]:
-        return None if q_net is None else int(np.argmax(q_net.forward(obs)[0]))
-
-    if q_net is not None:
+    if q_net is None:
+        def act(obs: np.ndarray, eps: float) -> Optional[int]:
+            return None
+    else:
+        forward = q_net.forward
         blas_threads(blas_threads_for(q_net.dims, 1))
+
+        def act(obs: np.ndarray, eps: float) -> Optional[int]:
+            return int(forward(obs).argmax())
 
     return _rollout(env, dual, episodes, seed, scaling, act)

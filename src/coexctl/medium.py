@@ -57,11 +57,11 @@ Only frame ends, of which many can be pending, go on the event heap. Each other
 event has at most one pending, so it is a field beside the heap: the train's
 next pulse end (one train exists at a time), the boundary fire (armed while a
 commit is live) and the access timer, always at the earliest running countdown
-end (the idle and freeze sweeps set it as they go; an access sweep re-arms it
-after, as an access can freeze later nodes). run_for serves the earliest of the
-four, at equal times in the order it states. The channel is held while a frame
-is on air or a train runs; the nodes on air are kept in a list, which a frame
-start marks as collided without a sweep.
+end (the idle, freeze and access sweeps each set it in their one pass over the
+nodes). run_for serves the earliest of the four, at equal times in the order it
+states. The channel is held while a frame is on air or a train runs; the nodes
+on air are kept in a list, which a frame start marks as collided without a
+sweep.
 
 An AIFSN change (apply_mac_params) updates each node's cached AIFS at once,
 also mid-countdown: a countdown's armed due time keeps the AIFS it was armed
@@ -360,7 +360,8 @@ class Simulator:
 
     def run_for(self, duration_us: int) -> Outcomes:
         """Advance the event loop exactly duration_us; return outcomes ending in the window."""
-        if isinstance(duration_us, bool) or not isinstance(duration_us, (int, np.integer)):
+        if type(duration_us) is not int and (  # a plain int passes the first test
+                isinstance(duration_us, bool) or not isinstance(duration_us, (int, np.integer))):
             raise TypeError(f"duration_us must be an integer number of us, got {duration_us!r}")
         if duration_us <= 0:
             raise ValueError("duration_us must be > 0")
@@ -370,21 +371,23 @@ class Simulator:
         while True:
             # the earliest event; at equal times frame ends go first, in start order
             # (so one ending at a boundary does not collide with one starting
-            # there), then the pulse end, the boundary fire and the access timer
-            top = heap[0][0] if heap else _NEVER
-            t = min(top, self._edge_at, self._fire_at, self._access_at)
+            # there), then the pulse end, the boundary fire and the access timer:
+            # each is taken over the ones before it only when strictly earlier
+            t, serve = (heap[0][0], None) if heap else (_NEVER, None)  # None: a frame end
+            if self._edge_at < t:
+                t, serve = self._edge_at, self._ev_pulse_end
+            if self._fire_at < t:
+                t, serve = self._fire_at, self._ev_fire
+            if self._access_at < t:
+                t, serve = self._access_at, self._ev_access
             if t > target:
                 break
             self.clock = t
-            if top == t:
+            if serve is None:
                 _, _, idx, start = heapq.heappop(heap)
                 self._ev_tx_end(t, self.nodes[idx], start)
-            elif self._edge_at == t:
-                self._ev_pulse_end(t)
-            elif self._fire_at == t:
-                self._ev_fire(t)
             else:
-                self._ev_access(t)
+                serve(t)
         tr = self._train
         if tr is not None and tr.edges > 1:  # past its check: settled lazily
             self._settle(tr, target)
@@ -499,29 +502,34 @@ class Simulator:
                 first = at
         self._access_at = first
 
-    def _arm_access(self) -> None:
-        """Point the access timer at the earliest pending countdown, if any."""
-        self._access_at = min(
-            (node.pending_at for node in self.nodes if node.state == _PENDING), default=_NEVER
-        )
-
     # -- node events
 
     def _ev_access(self, t: int) -> None:
-        """The access timer: every countdown ending at t, in node-index order.
+        """The access timer: every countdown ending at t, in node-index order,
+        and the timer re-armed at the earliest countdown left, in one sweep.
 
         Every pending countdown was anchored at the latest idle transition, in
         index order, so this is the order one heap entry per node gave. Nothing
         an access schedules lands at t, so the CR commits made here, which pulse
-        in phase, start their train once every access is served.
+        in phase, start their train once every access is served. The only
+        access that changes another countdown starts a frame on an idle
+        channel, which freezes every countdown not due at t; so at the sweep's
+        end the countdowns it passed either all still run or all are frozen,
+        and the earliest one's state tells which.
         """
-        members = []
+        members, first, earliest = [], _NEVER, None
         for node in self.nodes:
-            if node.state == _PENDING and node.pending_at == t:
-                self._access(node, t)
-                if node.state == _COMMITTED:
-                    members.append(node)
-        self._arm_access()
+            if node.state != _PENDING:
+                continue
+            if node.pending_at != t:
+                if node.pending_at < first:
+                    first, earliest = node.pending_at, node
+                continue
+            self._access(node, t)
+            if node.state == _COMMITTED:
+                members.append(node)
+        running = earliest is not None and earliest.state == _PENDING
+        self._access_at = first if running else _NEVER
         if members and self.cr_lbt_enabled:
             self._start_train(t, members)
 
@@ -621,16 +629,17 @@ class Simulator:
 
     def _ev_tx_end(self, t: int, node: NodeState, start: int) -> None:
         dur = t - start
+        stats = node.stats
         if node.collided:
-            node.stats.collisions += 1
-            node.stats.collision_air_us += dur
+            stats.collisions += 1
+            stats.collision_air_us += dur
             self._emit(node, TxKind.COLLISION, start, t)
             on_collision(node, self.rng)
         else:
             delay = start - node.hol_since_us
-            node.stats.successes += 1
-            node.stats.success_air_us += dur
-            node.stats.delay_sum_us += delay
+            stats.successes += 1
+            stats.success_air_us += dur
+            stats.delay_sum_us += delay
             self._emit(node, TxKind.SUCCESS, start, t, delay)
             on_success(node, t, self.rng)
         node.state = _DEFER

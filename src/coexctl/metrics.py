@@ -127,17 +127,18 @@ def step_metrics(
     if len(now) != n or len(start) != n:
         raise ValueError(f"window has {len(now)} nodes, state {n}, start edge {len(start)}")
 
-    rates, airtimes, airtime_ema = [], [], []
+    rates, airtimes = [], []
     total_succ = total_coll = 0
-    for (succ, coll, air, _), (succ0, coll0, air0, _), r, e in zip(
-            now, start, prev.collision_rate, prev.airtime_ema):
-        succ, coll, air = succ - succ0, coll - coll0, air - air0
+    for (succ, coll, air, _), (succ0, coll0, air0, _), r in zip(now, start, prev.collision_rate):
+        succ -= succ0
+        coll -= coll0
         total_succ += succ
         total_coll += coll
         # per-node collision rate, carried when a node made no attempts
         rates.append(collision_probability(succ, coll) if succ or coll else r)
-        airtimes.append(air)
-        airtime_ema.append(ema_update(e, float(air), ALPHA_DELAY))
+        airtimes.append(air - air0)
+    airtime_ema = [ema_update(e, float(air), ALPHA_DELAY)
+                   for e, air in zip(prev.airtime_ema, airtimes)]
     attempts = total_succ + total_coll
     agg = total_coll / attempts if attempts else prev.coll_rate_agg
     fast = ema_update(prev.coll_ema_fast, agg, ALPHA_FAST)
@@ -168,19 +169,9 @@ def step_metrics(
     violated = 1.0 if delay_smooth > d_th_us else 0.0
     violation = ema_update(prev.violation_rate, violated, ALPHA_VIOLATION)
 
-    return StepMetrics(
-        jfi=jfi,
-        pc1_delay_inst_us=delay_inst,
-        pc1_delay_smooth_us=delay_smooth,
-        collision_rate=rates,
-        collision_trend=fast - slow,
-        airtime_util=util,
-        violation_rate=violation,
-        airtime_ema=airtime_ema,
-        coll_ema_fast=fast,
-        coll_ema_slow=slow,
-        coll_rate_agg=agg,
-    )
+    # positional, in field order
+    return StepMetrics(jfi, delay_inst, delay_smooth, rates, fast - slow, util, violation,
+                       airtime_ema, fast, slow, agg)
 
 
 def build_observation(metrics: StepMetrics, d_th_us: float) -> np.ndarray:

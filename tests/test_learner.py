@@ -254,18 +254,43 @@ def test_loss_gradient_matches_central_finite_differences():
 
 
 def test_forward_results_survive_later_calls():
-    # hidden activations reuse per-network scratch: what forward returns, and
-    # the activations forward_cached hands to backward, must outlive a forward
+    # hidden activations reuse per-network scratch: what forward returns, for a
+    # batch or a single observation, and the activations forward_cached hands
+    # to backward, must outlive a forward
     rng = np.random.default_rng(16)
     net = MLP([3, 5, 4, 2], rng)
     x1, x2 = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
     out1 = net.forward(x1)
     kept = out1.copy()
+    single = net.forward(x1[0])
+    single_kept = single.copy()
     q, acts = net.forward_cached(x1)
     acts_kept = [a.copy() for a in acts]
     net.forward(x2)
+    net.forward(x2[0])
     assert np.array_equal(out1, kept) and np.array_equal(q, kept)
+    assert np.array_equal(single, single_kept)
     assert all(np.array_equal(a, k) for a, k in zip(acts, acts_kept))
+
+
+@pytest.mark.parametrize("dims", [[9, 64, 64, 49], [14, 128, 128, 49], [9, 1024, 1024, 1024, 49]])
+def test_a_single_observation_has_the_bits_of_row_0_of_a_one_row_batch(dims):
+    # a single observation runs as a vector; the greedy step's bits rest on this,
+    # at 1 BLAS thread and at the count a rollout of the shape sets
+    rng = np.random.default_rng(19)
+    net = MLP(dims, rng)
+    xs = rng.normal(size=(20, dims[0]))
+    before = blas_threads()
+    counts = {None} if before is None else {1, blas_threads_for(dims, 1)}
+    try:
+        for count in counts:
+            blas_threads(count)
+            for x in xs:
+                single = net.forward(x)
+                assert single.shape == (dims[-1],)
+                assert np.array_equal(single, net.forward(x[None, :])[0])
+    finally:
+        blas_threads(before)
 
 
 def test_adam_moves_against_gradient():
@@ -536,6 +561,50 @@ def test_greedy_rollout_normalises_lambda_by_the_duals_lambda_max(monkeypatch, e
     assert len(log) == len(seen) == episodes * EPISODE_STEPS
     assert max(lam for _, lam in seen) == 8.0
     assert all(feat == lam / 8.0 for feat, lam in seen)
+
+
+def test_greedy_rollout_equals_a_loop_of_public_calls():
+    # the dense CR-LBT aifsn mix of the benchmark's greedy evaluation, and an
+    # oracle loop written from public calls only: every row, field by field
+    from coexctl.constraint import DualController, constraint_signals
+    from coexctl.env import CoexEnv, coex_mix_preset
+    from coexctl.learner import greedy_rollout
+
+    def dense_env():
+        return CoexEnv(coex_mix_preset(2, 3, 3), action_mode="aifsn", cr_lbt=True)
+
+    env = dense_env()
+    net = MLP([env.observation_dim, 128, 128, env.n_actions], np.random.default_rng(0))
+    episodes, seed = 2, 3
+    got = greedy_rollout(env, net, DualController(), episodes=episodes, seed=seed).log
+
+    env, dual = dense_env(), DualController()
+    want = []
+    for episode in range(episodes):
+        env.reset(seed=seed if episode == 0 else None)
+        obs = env.observe(dual.lam, dual.lambda_max)
+        for step in range(env.episode_steps):
+            action = int(np.argmax(net.forward(obs[None, :])[0]))
+            info = env.step(action)
+            lam = dual.lam
+            v, v_scaled, cost = constraint_signals(info, env.d_th_us, dual.kappa, True)
+            reward = assemble_reward(info.jfi, lam, cost)
+            dual.feed(v_scaled, step)
+            obs = env.observe(dual.lam, dual.lambda_max)
+            want.append({
+                "episode": episode, "step": step, "lam": lam, "v": v, "v_scaled": v_scaled,
+                "v_ema": dual.v_ema, "cost": cost, "jfi": info.jfi,
+                "delay_inst_us": info.pc1_delay_inst_us,
+                "delay_smooth_us": info.pc1_delay_smooth_us,
+                "collision_rate": info.coll_rate_agg, "airtime_util": info.airtime_util,
+                "violation_rate": info.violation_rate, "reward": reward, "epsilon": 0.0,
+                "action": action, "loss": 0.0,
+            })
+    assert len(got) == len(want) == episodes * env.episode_steps
+    # repr tells -0.0 from 0.0 and an int from a float, and round-trips each float
+    for row, expected in zip(got, want):
+        assert {k: repr(v) for k, v in row._asdict().items()} == \
+            {k: repr(v) for k, v in expected.items()}
 
 
 @pytest.mark.parametrize("episodes", [0, -2])
